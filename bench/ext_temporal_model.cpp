@@ -15,7 +15,6 @@ int main() {
 
   core::ExperimentConfig config = bench::bench_config();
   const std::vector<double> train_conditions = {1000.0, 4000.0, 8000.0};
-  const double pe_scale = 10000.0;
 
   // Fixed-PE baseline from the shared cache (trains if missing).
   core::Experiment experiment(config);
@@ -29,7 +28,11 @@ int main() {
   const data::PairedDataset multi =
       data::PairedDataset::generate_multi(multi_config, train_conditions, data_rng);
 
-  models::TemporalCvaeGanModel temporal(config.network, pe_scale, config.seed ^ 0xF1A5Bu);
+  models::NetworkConfig conditioned = config.network;
+  conditioned.condition_dims = 2;
+  conditioned.pe_scale = 10000.0;
+  conditioned.retention_scale = 1000.0;
+  models::CvaeGanModel temporal(conditioned, config.seed ^ 0xF1A5Bu);
   const std::string ckpt = "flashgen_cache/temporal-cvae-gan.ckpt";
   Rng train_rng(config.seed + 41);
   if (std::filesystem::exists(ckpt)) {

@@ -16,7 +16,10 @@
 //
 // Run:  ./serve_chaos [--smoke] [output.json]
 //   --smoke                       small fast run, asserts invariants, used
-//                                 as the tier-1 ctest registration
+//                                 as the tier-1 ctest registration; writes
+//                                 no report unless given output.json
+//   output.json                   report path, replacing the default
+//                                 <results dir>/serve_chaos.json
 //   FLASHGEN_BENCH_CHAOS_REPLICAS replica engines (default 3)
 #include <chrono>
 #include <cstdio>
@@ -272,10 +275,11 @@ int main(int argc, char** argv) {
   metrics.add("recovery_micros", static_cast<std::int64_t>(recovery_micros));
   metrics.add("checksums_match", checksums_match);
   metrics.add_raw("server", server_json);
-  bench::write_bench_report("serve_chaos", config, metrics);
   if (output_path != nullptr) {
     bench::write_bench_report_to(output_path,
                                  bench::render_bench_report("serve_chaos", config, metrics));
+  } else if (!smoke) {
+    bench::write_bench_report("serve_chaos", config, metrics);
   }
 
   if (failed) {

@@ -13,7 +13,7 @@
 // writes an extra copy to that path). The acceptance bar for the serving
 // runtime is >= 2x the training-path samples/sec at batch 8.
 //
-// Run:  ./serve_throughput [output.json]
+// Run:  ./serve_throughput [output.json]   (output.json replaces the default report path)
 //   FLASHGEN_BENCH_SERVE_REPS  - timed repetitions per cell (default 40)
 #include <chrono>
 #include <cstdio>
@@ -187,10 +187,11 @@ int main(int argc, char** argv) {
   config.add("array_side", 8).add("reps", base_reps);
   bench::JsonFields metrics;
   metrics.add_raw("sweep", sweep.render());
-  bench::write_bench_report("serve_throughput", config, metrics);
   if (argc > 1) {
     bench::write_bench_report_to(argv[1],
                                  bench::render_bench_report("serve_throughput", config, metrics));
+  } else {
+    bench::write_bench_report("serve_throughput", config, metrics);
   }
   return 0;
 }

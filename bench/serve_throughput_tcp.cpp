@@ -13,7 +13,10 @@
 //
 // Run:  ./serve_throughput_tcp [--smoke] [output.json]
 //   --smoke                         small fast run, asserts invariants, used
-//                                   as the tier-1 ctest registration
+//                                   as the tier-1 ctest registration; writes
+//                                   no report unless given output.json
+//   output.json                     report path, replacing the default
+//                                   <results dir>/serve_throughput_tcp.json
 //   FLASHGEN_BENCH_TCP_CONNECTIONS  connections for the sweep (default 1000)
 //   FLASHGEN_BENCH_TCP_REQUESTS     requests per sweep cell (default 8000)
 //   FLASHGEN_BENCH_TCP_REPLICAS     replica engines (default 2)
@@ -180,10 +183,11 @@ int main(int argc, char** argv) {
   metrics.add_raw("sweep", sweep.render());
   metrics.add("checksums_match", checksums_match);
   metrics.add_raw("server", server.metrics().to_json());
-  bench::write_bench_report("serve_throughput_tcp", config, metrics);
   if (output_path != nullptr) {
     bench::write_bench_report_to(
         output_path, bench::render_bench_report("serve_throughput_tcp", config, metrics));
+  } else if (!smoke) {
+    bench::write_bench_report("serve_throughput_tcp", config, metrics);
   }
 
   if (failed) {

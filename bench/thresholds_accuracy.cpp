@@ -30,7 +30,7 @@
 #include "bench_common.h"
 #include "eval/thresholds.h"
 #include "flash/channel.h"
-#include "models/spatio_temporal.h"
+#include "models/cvae_gan.h"
 #include "thresholds/model_sampler.h"
 #include "thresholds/optimizer.h"
 
@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
     net.array_size = 8;
     net.base_channels = 4;
     net.z_dim = 4;
-    model = std::make_unique<models::TemporalCvaeGanModel>(net, 10000.0, 1000.0, /*seed=*/7);
+    net.condition_dims = 2;  // (PE, retention) at the default 10000 / 1000 scales
+    model = std::make_unique<models::CvaeGanModel>(net, /*seed=*/7);
   } else {
     bench::print_header("Wear-aware read thresholds vs characterization & BOL midpoints");
     core::Experiment experiment(config);

@@ -11,7 +11,6 @@
 #include "models/cvae.h"
 #include "models/cvae_gan.h"
 #include "models/gaussian_model.h"
-#include "models/spatio_temporal.h"
 #include "pipeline/prefetch.h"
 
 namespace flashgen::core {
@@ -38,12 +37,13 @@ std::unique_ptr<models::GenerativeModel> make_model(ModelKind kind,
     case ModelKind::Cgan: return std::make_unique<models::CganModel>(config, seed);
     case ModelKind::Cvae: return std::make_unique<models::CvaeModel>(config, seed);
     case ModelKind::Gaussian: return std::make_unique<models::GaussianModel>();
-    case ModelKind::Temporal:
-      // The condition scales in `config` bound the (PE, retention) range the
-      // normalized conditioning inputs cover; the model forces
-      // condition_dims = 2 itself.
-      return std::make_unique<models::TemporalCvaeGanModel>(config, config.pe_scale,
-                                                            config.retention_scale, seed);
+    case ModelKind::Temporal: {
+      // The cVAE-GAN conditioned on (PE, retention). The condition scales in
+      // `config` bound the range the normalized conditioning inputs cover.
+      models::NetworkConfig conditioned = config;
+      conditioned.condition_dims = 2;
+      return std::make_unique<models::CvaeGanModel>(conditioned, seed);
+    }
   }
   FG_CHECK(false, "unknown ModelKind");
   return nullptr;
@@ -249,8 +249,9 @@ ModelEvaluation Experiment::evaluate(models::GenerativeModel& model) {
   result.name = model.name();
   // Condition-aware models are scored at the eval split's characterization
   // condition (the eval set is always single-condition).
-  if (auto* temporal = dynamic_cast<models::TemporalCvaeGanModel*>(&model)) {
-    temporal->set_generation_condition(
+  if (auto* cvae_gan = dynamic_cast<models::CvaeGanModel*>(&model);
+      cvae_gan != nullptr && cvae_gan->condition_aware()) {
+    cvae_gan->set_generation_condition(
         {config_.dataset.pe_cycles, config_.dataset.retention_hours});
   }
 

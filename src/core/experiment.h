@@ -28,7 +28,8 @@
 namespace flashgen::core {
 
 /// The models compared in the paper's evaluation, plus Temporal: the
-/// spatio-temporal cVAE-GAN conditioned on (PE cycles, retention hours).
+/// spatio-temporal cVAE-GAN conditioned on (PE cycles, retention hours),
+/// i.e. models::CvaeGanModel with NetworkConfig::condition_dims = 2.
 enum class ModelKind { CvaeGan, BicycleGan, Cgan, Cvae, Gaussian, Temporal };
 
 std::string to_string(ModelKind kind);

@@ -31,4 +31,3 @@
 #include "models/cvae.h"
 #include "models/cvae_gan.h"
 #include "models/gaussian_model.h"
-#include "models/spatio_temporal.h"

@@ -6,7 +6,6 @@
 #include <fstream>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "tensor/conv.h"
@@ -210,9 +209,8 @@ models::TrainStats DistTrainer::fit(models::GenerativeModel& model,
   const int total_steps_planned = detail::total_steps(source, train);
   static stats::Counter& dist_steps = stats::counter("dist.steps");
 
-  models::TrainStats stats;
-  double g_acc = 0.0, d_acc = 0.0;
-  int acc_n = 0;
+  detail::LossLog log(model.name() + "[dist " + std::to_string(world) + "w]", phases,
+                      train.log_every, /*verbose=*/rank == 0);
 
   auto step_fn = [&](const Tensor& pl, const Tensor& vl, const Tensor& cond, int step) {
     FG_TRACE_SPAN("dist.step", "dist");
@@ -237,7 +235,7 @@ models::TrainStats DistTrainer::fit(models::GenerativeModel& model,
                                           : Tensor());
     }
 
-    double phase_loss[2] = {0.0, 0.0};
+    std::vector<double> phase_loss(static_cast<std::size_t>(phases));
     for (int ph = 0; ph < phases; ++ph) {
       const std::vector<Tensor>& params = stepper->phase_params(ph);
       std::vector<std::vector<float>> bufs(static_cast<std::size_t>(local_shards));
@@ -270,7 +268,7 @@ models::TrainStats DistTrainer::fit(models::GenerativeModel& model,
 
       const double loss_mean =
           static_cast<double>(reduced.back()) / static_cast<double>(shards);
-      phase_loss[ph == 0 ? 0 : 1] = loss_mean;
+      phase_loss[static_cast<std::size_t>(ph)] = loss_mean;
 
       // Write the (1/S)-scaled reduced gradients back onto the parameters.
       ctx.root->zero_grad();
@@ -287,12 +285,7 @@ models::TrainStats DistTrainer::fit(models::GenerativeModel& model,
       // Divergence guards run on the reduced values, which are identical on
       // every rank — so either all ranks halt or none does, and no rank is
       // left blocked in a collective.
-      detail::guard_loss(stepper->phase_label(ph), loss_mean, train.sentinel);
-      if (detail::want_grad_norm(train.sentinel)) {
-        const double norm = detail::grad_norm(params);
-        if (trace::enabled()) trace::counter("dist.grad_norm", norm);
-        detail::guard_grad_norm(stepper->phase_label(ph), norm, train.sentinel);
-      }
+      detail::guard_phase(*stepper, ph, loss_mean, train.sentinel);
 
       // Batch-norm running stats: all-gather every rank's deferred updates
       // and replay them in canonical order (rank-ascending, shard-ascending,
@@ -337,32 +330,11 @@ models::TrainStats DistTrainer::fit(models::GenerativeModel& model,
     stepper->end_step();
     dist_steps.add();
 
-    const double gl = phases > 1 ? phase_loss[1] : phase_loss[0];
-    trace::counter("dist.loss.g", gl);
-    g_acc += gl;
-    if (phases > 1) {
-      trace::counter("dist.loss.d", phase_loss[0]);
-      d_acc += phase_loss[0];
-    }
-    ++acc_n;
-    if (train.log_every > 0 && (step + 1) % train.log_every == 0) {
-      stats.g_loss_history.push_back(static_cast<float>(g_acc / acc_n));
-      if (phases > 1) stats.d_loss_history.push_back(static_cast<float>(d_acc / acc_n));
-      if (rank == 0) {
-        FG_LOG(Info) << model.name() << "[dist " << world << "w] step " << step + 1 << " G "
-                     << g_acc / acc_n << (phases > 1 ? " D " : "")
-                     << (phases > 1 ? std::to_string(d_acc / acc_n) : std::string());
-      }
-      g_acc = d_acc = 0.0;
-      acc_n = 0;
-    }
+    log.add(step, phase_loss);
   };
 
-  stats.steps = detail::run_training_loop(source, local, rng, step_fn, &ctx);
-  if (acc_n > 0) {
-    stats.g_loss_history.push_back(static_cast<float>(g_acc / acc_n));
-    if (phases > 1) stats.d_loss_history.push_back(static_cast<float>(d_acc / acc_n));
-  }
+  models::TrainStats stats =
+      log.finish(detail::run_training_loop(source, local, rng, step_fn, &ctx));
   if (!tmp_snapshot.empty()) {
     std::error_code ec;
     std::filesystem::remove(tmp_snapshot, ec);

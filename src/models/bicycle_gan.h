@@ -15,10 +15,6 @@ class BicycleGanModel : public GenerativeModel {
   BicycleGanModel(const NetworkConfig& config, std::uint64_t seed);
 
   std::string name() const override { return "Bicycle-GAN"; }
-  TrainStats fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
-                        flashgen::Rng& rng) override;
-  TrainStats fit(const data::PairedDataset& dataset, const TrainConfig& config,
-                 flashgen::Rng& rng) override;
   void prepare_generation() override;
   Tensor sample(const Tensor& pl, flashgen::Rng& rng) override;
   Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) override;

@@ -1,6 +1,5 @@
 #include "models/cgan.h"
 
-#include "common/logging.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
 
@@ -8,83 +7,6 @@ namespace flashgen::models {
 
 CganModel::CganModel(const NetworkConfig& config, std::uint64_t seed)
     : config_(strip_latent(config)), root_(config_, seed) {}
-
-TrainStats CganModel::fit(const data::PairedDataset& dataset, const TrainConfig& config,
-                          flashgen::Rng& rng) {
-  pipeline::EagerSource source(dataset, config.batch_size);
-  return fit_stream(source, config, rng);
-}
-
-TrainStats CganModel::fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
-                                 flashgen::Rng& rng) {
-  root_.set_training(true);
-  const std::vector<Tensor> g_params = root_.generator.parameters();
-  const std::vector<Tensor> d_params = root_.discriminator.parameters();
-  nn::Adam opt_g(g_params, {.lr = config.lr});
-  nn::Adam opt_d(d_params, {.lr = config.lr});
-  detail::LoopContext ctx;
-  ctx.root = &root_;
-  ctx.optimizers = {&opt_g, &opt_d};
-
-  TrainStats stats;
-  double g_acc = 0.0, d_acc = 0.0;
-  int acc_n = 0;
-  const int total_steps_planned = detail::total_steps(source, config);
-  stats.steps = detail::run_training_loop(
-      source, config, rng,
-      [&](const Tensor& pl, const Tensor& vl, const Tensor& raw_cond, int step) {
-        const float lr = detail::scheduled_lr(config.lr, step, total_steps_planned) *
-                         static_cast<float>(ctx.lr_scale);
-        opt_g.set_lr(lr);
-        opt_d.set_lr(lr);
-        const Tensor cond = normalize_conditions(raw_cond, config_);
-        const Tensor fake = root_.generator.forward(pl, Tensor(), rng, cond);
-
-        const Tensor d_real = root_.discriminator.forward(pl, vl, cond);
-        const Tensor d_fake = root_.discriminator.forward(pl, fake.detach(), cond);
-        Tensor loss_d = tensor::mul_scalar(
-            tensor::add(gan_loss(d_real, true, config.lsgan),
-                        gan_loss(d_fake, false, config.lsgan)),
-            0.5f);
-        detail::guard_loss("cgan.loss.d", loss_d.item(), config.sentinel);
-        opt_d.zero_grad();
-        loss_d.backward();
-        if (detail::want_grad_norm(config.sentinel)) {
-          detail::guard_grad_norm("cgan.d", detail::grad_norm(d_params), config.sentinel);
-        }
-        opt_d.step();
-
-        const Tensor d_fake2 = root_.discriminator.forward(pl, fake, cond);
-        Tensor loss_g = tensor::add(
-            gan_loss(d_fake2, true, config.lsgan),
-            tensor::mul_scalar(tensor::l1_loss(fake, vl), config.alpha));
-        detail::guard_loss("cgan.loss.g", loss_g.item(), config.sentinel);
-        opt_g.zero_grad();
-        loss_g.backward();
-        if (detail::want_grad_norm(config.sentinel)) {
-          detail::guard_grad_norm("cgan.g", detail::grad_norm(g_params), config.sentinel);
-        }
-        opt_g.step();
-
-        g_acc += loss_g.item();
-        d_acc += loss_d.item();
-        ++acc_n;
-        if (config.log_every > 0 && (step + 1) % config.log_every == 0) {
-          stats.g_loss_history.push_back(static_cast<float>(g_acc / acc_n));
-          stats.d_loss_history.push_back(static_cast<float>(d_acc / acc_n));
-          FG_LOG(Info) << name() << " step " << step + 1 << " G " << g_acc / acc_n << " D "
-                       << d_acc / acc_n;
-          g_acc = d_acc = 0.0;
-          acc_n = 0;
-        }
-      },
-      &ctx);
-  if (acc_n > 0) {
-    stats.g_loss_history.push_back(static_cast<float>(g_acc / acc_n));
-    stats.d_loss_history.push_back(static_cast<float>(d_acc / acc_n));
-  }
-  return stats;
-}
 
 std::unique_ptr<ShardedStepper> CganModel::make_sharded_stepper(const TrainConfig& config) {
   class Stepper : public ShardedStepper {

@@ -1,6 +1,5 @@
 #include "models/cvae.h"
 
-#include "common/logging.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
 
@@ -8,61 +7,6 @@ namespace flashgen::models {
 
 CvaeModel::CvaeModel(const NetworkConfig& config, std::uint64_t seed)
     : config_(config), root_(config, seed) {}
-
-TrainStats CvaeModel::fit(const data::PairedDataset& dataset, const TrainConfig& config,
-                          flashgen::Rng& rng) {
-  pipeline::EagerSource source(dataset, config.batch_size);
-  return fit_stream(source, config, rng);
-}
-
-TrainStats CvaeModel::fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
-                                 flashgen::Rng& rng) {
-  root_.set_training(true);
-  std::vector<Tensor> params = root_.generator.parameters();
-  for (const Tensor& p : root_.encoder.parameters()) params.push_back(p);
-  nn::Adam opt(params, {.lr = config.lr});
-  detail::LoopContext ctx;
-  ctx.root = &root_;
-  ctx.optimizers = {&opt};
-
-  TrainStats stats;
-  double acc = 0.0;
-  int acc_n = 0;
-  const int total_steps_planned = detail::total_steps(source, config);
-  stats.steps = detail::run_training_loop(
-      source, config, rng,
-      [&](const Tensor& pl, const Tensor& vl, const Tensor& raw_cond, int step) {
-        const float lr = detail::scheduled_lr(config.lr, step, total_steps_planned) *
-                         static_cast<float>(ctx.lr_scale);
-        opt.set_lr(lr);
-        const Tensor cond = normalize_conditions(raw_cond, config_);
-        const ResNetEncoder::Output dist = root_.encoder.forward(vl);
-        const Tensor z = ResNetEncoder::sample_latent(dist, rng);
-        const Tensor fake = root_.generator.forward(pl, z, rng, cond);
-        Tensor loss = tensor::add(
-            tensor::mul_scalar(tensor::l1_loss(fake, vl), config.alpha),
-            tensor::mul_scalar(tensor::kl_standard_normal(dist.mu, dist.logvar), config.beta));
-        detail::guard_loss("cvae.loss", loss.item(), config.sentinel);
-        opt.zero_grad();
-        loss.backward();
-        if (detail::want_grad_norm(config.sentinel)) {
-          detail::guard_grad_norm("cvae", detail::grad_norm(params), config.sentinel);
-        }
-        opt.step();
-
-        acc += loss.item();
-        ++acc_n;
-        if (config.log_every > 0 && (step + 1) % config.log_every == 0) {
-          stats.g_loss_history.push_back(static_cast<float>(acc / acc_n));
-          FG_LOG(Info) << name() << " step " << step + 1 << " loss " << acc / acc_n;
-          acc = 0.0;
-          acc_n = 0;
-        }
-      },
-      &ctx);
-  if (acc_n > 0) stats.g_loss_history.push_back(static_cast<float>(acc / acc_n));
-  return stats;
-}
 
 std::unique_ptr<ShardedStepper> CvaeModel::make_sharded_stepper(const TrainConfig& config) {
   class Stepper : public ShardedStepper {

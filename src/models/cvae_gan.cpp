@@ -1,124 +1,39 @@
 #include "models/cvae_gan.h"
 
-#include "common/logging.h"
 #include "common/trace.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace flashgen::models {
 
-CvaeGanModel::CvaeGanModel(const NetworkConfig& config, std::uint64_t seed)
-    : config_(config), root_(config, seed) {}
+namespace {
+// Checkpoint metadata keys stamping the conditioning contract. Version 2 is
+// the (PE, retention) pair scheme; version 1 (PE only) was never written with
+// metadata, so legacy files surface as an empty map.
+constexpr const char* kMetaCondVersion = "cond_version";
+constexpr const char* kMetaPeScale = "pe_scale";
+constexpr const char* kMetaRetentionScale = "retention_scale";
+constexpr double kCondVersion = 2.0;
 
-TrainStats CvaeGanModel::fit(const data::PairedDataset& dataset, const TrainConfig& config,
-                             flashgen::Rng& rng) {
-  pipeline::EagerSource source(dataset, config.batch_size);
-  return fit_stream(source, config, rng);
-}
-
-TrainStats CvaeGanModel::fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
-                                    flashgen::Rng& rng) {
-  root_.set_training(true);
-  std::vector<Tensor> ge_params = root_.generator.parameters();
-  for (const Tensor& p : root_.encoder.parameters()) ge_params.push_back(p);
-  const std::vector<Tensor> d_params = root_.discriminator.parameters();
-  nn::Adam opt_ge(ge_params, {.lr = config.lr});
-  nn::Adam opt_d(d_params, {.lr = config.lr});
-  detail::LoopContext ctx;
-  ctx.root = &root_;
-  ctx.optimizers = {&opt_ge, &opt_d};
-
-  TrainStats stats;
-  double g_acc = 0.0, d_acc = 0.0;
-  int acc_n = 0;
-  const int total_steps_planned = detail::total_steps(source, config);
-  stats.steps = detail::run_training_loop(
-      source, config, rng,
-      [&](const Tensor& pl, const Tensor& vl, const Tensor& raw_cond, int step) {
-        const float lr = detail::scheduled_lr(config.lr, step, total_steps_planned) *
-                         static_cast<float>(ctx.lr_scale);
-        opt_ge.set_lr(lr);
-        opt_d.set_lr(lr);
-        const Tensor cond = normalize_conditions(raw_cond, config_);
-        // Posterior latent from the real voltages (VAE branch).
-        const ResNetEncoder::Output dist = [&] {
-          FG_TRACE_SPAN("cvae_gan.encoder", "model");
-          return root_.encoder.forward(vl);
-        }();
-        const Tensor z = ResNetEncoder::sample_latent(dist, rng);
-        const Tensor fake = [&] {
-          FG_TRACE_SPAN("cvae_gan.generator", "model");
-          return root_.generator.forward(pl, z, rng, cond);
-        }();
-
-        // --- discriminator step -------------------------------------------
-        Tensor loss_d;
-        {
-          FG_TRACE_SPAN("cvae_gan.d_step", "model");
-          const Tensor d_real = root_.discriminator.forward(pl, vl, cond);
-          const Tensor d_fake = root_.discriminator.forward(pl, fake.detach(), cond);
-          loss_d = tensor::mul_scalar(
-              tensor::add(gan_loss(d_real, true, config.lsgan),
-                          gan_loss(d_fake, false, config.lsgan)),
-              0.5f);
-          detail::guard_loss("cvae_gan.loss.d", loss_d.item(), config.sentinel);
-          opt_d.zero_grad();
-          loss_d.backward();
-          if (detail::want_grad_norm(config.sentinel)) {
-            const double norm = detail::grad_norm(d_params);
-            if (trace::enabled()) trace::counter("cvae_gan.grad_norm.d", norm);
-            detail::guard_grad_norm("cvae_gan.d", norm, config.sentinel);
-          }
-          opt_d.step();
-        }
-
-        // --- generator + encoder step --------------------------------------
-        Tensor loss_g;
-        {
-          FG_TRACE_SPAN("cvae_gan.g_step", "model");
-          const Tensor d_fake2 = root_.discriminator.forward(pl, fake, cond);
-          const Tensor l1 = tensor::l1_loss(fake, vl);
-          const Tensor kl = tensor::kl_standard_normal(dist.mu, dist.logvar);
-          loss_g = gan_loss(d_fake2, true, config.lsgan);
-          loss_g = tensor::add(loss_g, tensor::mul_scalar(l1, config.alpha));
-          loss_g = tensor::add(loss_g, tensor::mul_scalar(kl, config.beta));
-          detail::guard_loss("cvae_gan.loss.g", loss_g.item(), config.sentinel);
-          opt_ge.zero_grad();
-          loss_g.backward();
-          if (trace::enabled()) {
-            trace::counter("cvae_gan.loss.l1", l1.item());
-            trace::counter("cvae_gan.loss.kl", kl.item());
-          }
-          if (detail::want_grad_norm(config.sentinel)) {
-            const double norm = detail::grad_norm(ge_params);
-            if (trace::enabled()) trace::counter("cvae_gan.grad_norm.ge", norm);
-            detail::guard_grad_norm("cvae_gan.ge", norm, config.sentinel);
-          }
-          opt_ge.step();
-        }
-
-        const double gl = loss_g.item();
-        const double dl = loss_d.item();
-        trace::counter("cvae_gan.loss.g", gl);
-        trace::counter("cvae_gan.loss.d", dl);
-        g_acc += gl;
-        d_acc += dl;
-        ++acc_n;
-        if (config.log_every > 0 && (step + 1) % config.log_every == 0) {
-          stats.g_loss_history.push_back(static_cast<float>(g_acc / acc_n));
-          stats.d_loss_history.push_back(static_cast<float>(d_acc / acc_n));
-          FG_LOG(Info) << name() << " step " << step + 1 << " G " << g_acc / acc_n << " D "
-                       << d_acc / acc_n;
-          g_acc = d_acc = 0.0;
-          acc_n = 0;
-        }
-      },
-      &ctx);
-  if (acc_n > 0) {
-    stats.g_loss_history.push_back(static_cast<float>(g_acc / acc_n));
-    stats.d_loss_history.push_back(static_cast<float>(d_acc / acc_n));
+const NetworkConfig& validated(const NetworkConfig& config) {
+  FG_CHECK(config.condition_dims == 0 || config.condition_dims == 2,
+           "cVAE-GAN condition_dims must be 0 (unconditioned) or 2 (PE, retention), got "
+               << config.condition_dims);
+  if (config.condition_dims > 0) {
+    FG_CHECK(config.pe_scale > 0.0, "pe_scale must be positive");
+    FG_CHECK(config.retention_scale > 0.0, "retention_scale must be positive");
   }
-  return stats;
+  return config;
+}
+}  // namespace
+
+CvaeGanModel::CvaeGanModel(const NetworkConfig& config, std::uint64_t seed)
+    : config_(validated(config)),
+      generation_condition_{.pe_cycles = config.pe_scale / 2.0, .retention_hours = 0.0},
+      root_(config_, seed) {}
+
+std::string CvaeGanModel::name() const {
+  return condition_aware() ? "cVAE-GAN(PE,ret)" : "cVAE-GAN";
 }
 
 std::unique_ptr<ShardedStepper> CvaeGanModel::make_sharded_stepper(const TrainConfig& config) {
@@ -159,9 +74,16 @@ std::unique_ptr<ShardedStepper> CvaeGanModel::make_sharded_stepper(const TrainCo
         c.pl = pl;
         c.vl = vl;
         c.cond = normalize_conditions(raw_cond, m_.config_);
-        c.dist = m_.root_.encoder.forward(vl);
+        {
+          // Posterior latent from the real voltages (VAE branch).
+          FG_TRACE_SPAN("cvae_gan.encoder", "model");
+          c.dist = m_.root_.encoder.forward(vl);
+        }
         const Tensor z = ResNetEncoder::sample_latent(c.dist, rng);
-        c.fake = m_.root_.generator.forward(pl, z, rng, c.cond);
+        {
+          FG_TRACE_SPAN("cvae_gan.generator", "model");
+          c.fake = m_.root_.generator.forward(pl, z, rng, c.cond);
+        }
         const Tensor d_real = m_.root_.discriminator.forward(pl, vl, c.cond);
         const Tensor d_fake = m_.root_.discriminator.forward(pl, c.fake.detach(), c.cond);
         Tensor loss_d = tensor::mul_scalar(tensor::add(gan_loss(d_real, true, lsgan_),
@@ -172,11 +94,16 @@ std::unique_ptr<ShardedStepper> CvaeGanModel::make_sharded_stepper(const TrainCo
       }
       FG_TRACE_SPAN("cvae_gan.g_step", "model");
       const Tensor d_fake2 = m_.root_.discriminator.forward(c.pl, c.fake, c.cond);
+      const Tensor l1 = tensor::l1_loss(c.fake, c.vl);
+      const Tensor kl = tensor::kl_standard_normal(c.dist.mu, c.dist.logvar);
       Tensor loss_g = gan_loss(d_fake2, true, lsgan_);
-      loss_g = tensor::add(loss_g, tensor::mul_scalar(tensor::l1_loss(c.fake, c.vl), alpha_));
-      loss_g = tensor::add(
-          loss_g, tensor::mul_scalar(tensor::kl_standard_normal(c.dist.mu, c.dist.logvar), beta_));
+      loss_g = tensor::add(loss_g, tensor::mul_scalar(l1, alpha_));
+      loss_g = tensor::add(loss_g, tensor::mul_scalar(kl, beta_));
       loss_g.backward();
+      if (trace::enabled()) {
+        trace::counter("cvae_gan.loss.l1", l1.item());
+        trace::counter("cvae_gan.loss.kl", kl.item());
+      }
       return loss_g.item();
     }
 
@@ -202,15 +129,98 @@ void CvaeGanModel::prepare_generation() {
   root_.set_training(true);
 }
 
+Tensor CvaeGanModel::condition_tensor(std::span<const data::Condition> conditions) const {
+  if (!condition_aware()) return Tensor();
+  const auto n = static_cast<tensor::Index>(conditions.size());
+  Tensor raw = Tensor::zeros(tensor::Shape{n, 2});
+  auto data = raw.data();
+  for (std::size_t b = 0; b < conditions.size(); ++b) {
+    data[2 * b] = static_cast<float>(conditions[b].pe_cycles);
+    data[2 * b + 1] = static_cast<float>(conditions[b].retention_hours);
+  }
+  return normalize_conditions(raw, config_);
+}
+
+Tensor CvaeGanModel::condition_tensor(tensor::Index batch,
+                                      const data::Condition& condition) const {
+  if (!condition_aware()) return Tensor();
+  return condition_tensor(std::vector<data::Condition>(static_cast<std::size_t>(batch), condition));
+}
+
 Tensor CvaeGanModel::sample(const Tensor& pl, flashgen::Rng& rng) {
   const Tensor z =
       Tensor::randn(tensor::Shape{pl.shape()[0], config_.z_dim}, rng);
-  return root_.generator.forward(pl, z, rng);
+  return root_.generator.forward(pl, z, rng,
+                                 condition_tensor(pl.shape()[0], generation_condition_));
 }
 
 Tensor CvaeGanModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
   const Tensor z = detail::latent_rows(pl.shape()[0], config_.z_dim, rngs);
-  return root_.generator.forward_rows(pl, z, rngs);
+  return root_.generator.forward_rows(pl, z, rngs,
+                                      condition_tensor(pl.shape()[0], generation_condition_));
+}
+
+Tensor CvaeGanModel::sample_rows_at(const Tensor& pl,
+                                    std::span<const data::Condition> conditions,
+                                    std::span<flashgen::Rng> rngs) {
+  FG_CHECK(condition_aware(), name() << " does not support conditioned sampling");
+  const tensor::Index n = pl.shape()[0];
+  FG_CHECK(static_cast<tensor::Index>(conditions.size()) == n,
+           "sample_rows_at: " << conditions.size() << " conditions for " << n << " rows");
+  const Tensor cond = condition_tensor(conditions);
+  const Tensor z = detail::latent_rows(n, config_.z_dim, rngs);
+  return root_.generator.forward_rows(pl, z, rngs, cond);
+}
+
+Tensor CvaeGanModel::generate_at(const Tensor& pl, double pe_cycles, flashgen::Rng& rng) {
+  return generate_at(pl, pe_cycles, 0.0, rng);
+}
+
+Tensor CvaeGanModel::generate_at(const Tensor& pl, double pe_cycles, double retention_hours,
+                                 flashgen::Rng& rng) {
+  FG_CHECK(condition_aware(), name() << " does not support conditioned sampling");
+  prepare_generation();
+  tensor::NoGradGuard no_grad;
+  const Tensor z = Tensor::randn(tensor::Shape{pl.shape()[0], config_.z_dim}, rng);
+  return root_.generator.forward(
+      pl, z, rng,
+      condition_tensor(pl.shape()[0],
+                       {.pe_cycles = pe_cycles, .retention_hours = retention_hours}));
+}
+
+nn::CheckpointMeta CvaeGanModel::checkpoint_meta() const {
+  if (!condition_aware()) return {};
+  return {{kMetaCondVersion, kCondVersion},
+          {kMetaPeScale, config_.pe_scale},
+          {kMetaRetentionScale, config_.retention_scale}};
+}
+
+void CvaeGanModel::validate_checkpoint_meta(const nn::CheckpointMeta& meta,
+                                            const std::string& path) {
+  if (!condition_aware()) return;
+  const auto version = meta.find(kMetaCondVersion);
+  if (version == meta.end()) {
+    throw nn::CheckpointVersionError(
+        "checkpoint " + path +
+        " predates (PE, retention) conditioning (cond_version 2); retrain or keep "
+        "loading it with the PE-only model generation that wrote it");
+  }
+  if (version->second != kCondVersion) {
+    throw nn::CheckpointVersionError("checkpoint " + path + " has cond_version " +
+                                     std::to_string(version->second) + " but this model needs " +
+                                     std::to_string(kCondVersion));
+  }
+  for (const char* key : {kMetaPeScale, kMetaRetentionScale}) {
+    const auto it = meta.find(key);
+    const double want = key == kMetaPeScale ? config_.pe_scale : config_.retention_scale;
+    if (it == meta.end() || it->second != want) {
+      throw nn::CheckpointVersionError(
+          "checkpoint " + path + " was trained with " + key + " " +
+          (it == meta.end() ? std::string("<missing>") : std::to_string(it->second)) +
+          " but this model uses " + std::to_string(want) +
+          "; conditions would be normalized differently");
+    }
+  }
 }
 
 }  // namespace flashgen::models

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
+#include <sstream>
 
 #include "common/error.h"
 #include "common/faultinject.h"
@@ -26,6 +27,46 @@ void GenerativeModel::load(const std::string& path) {
   validate_checkpoint_meta(nn::read_checkpoint_meta(path), path);
   nn::load_checkpoint(root_module(), path);
   on_loaded();
+}
+
+TrainStats GenerativeModel::fit(const data::PairedDataset& dataset, const TrainConfig& config,
+                                flashgen::Rng& rng) {
+  pipeline::EagerSource source(dataset, config.batch_size);
+  return fit_stream(source, config, rng);
+}
+
+TrainStats GenerativeModel::fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
+                                       flashgen::Rng& rng) {
+  const std::unique_ptr<ShardedStepper> stepper = make_sharded_stepper(config);
+  FG_CHECK(stepper != nullptr, name() << " does not support streamed training");
+  const int phases = stepper->num_phases();
+  detail::LoopContext ctx;
+  ctx.root = &root_module();
+  // Snapshots list the optimizers generator side first, the layout local
+  // training has always written.
+  for (int ph = phases - 1; ph >= 0; --ph) ctx.optimizers.push_back(&stepper->phase_optimizer(ph));
+
+  detail::LossLog log(name(), phases, config.log_every, /*verbose=*/true);
+  const int total_steps_planned = detail::total_steps(source, config);
+  const int steps = detail::run_training_loop(
+      source, config, rng,
+      [&](const Tensor& pl, const Tensor& vl, const Tensor& cond, int step) {
+        stepper->set_lr(detail::scheduled_lr(config.lr, step, total_steps_planned) *
+                        static_cast<float>(ctx.lr_scale));
+        stepper->begin_step(1);
+        std::vector<double> losses(static_cast<std::size_t>(phases));
+        for (int ph = 0; ph < phases; ++ph) {
+          ctx.root->zero_grad();
+          const double loss = stepper->run_phase(ph, 0, pl, vl, cond, rng);
+          detail::guard_phase(*stepper, ph, loss, config.sentinel);
+          stepper->phase_optimizer(ph).step();
+          losses[static_cast<std::size_t>(ph)] = loss;
+        }
+        stepper->end_step();
+        log.add(step, losses);
+      },
+      &ctx);
+  return log.finish(steps);
 }
 
 Tensor GenerativeModel::generate(const Tensor& pl, flashgen::Rng& rng) {
@@ -112,6 +153,58 @@ void guard_grad_norm(const char* what, double norm, const SentinelConfig& sentin
 bool want_grad_norm(const SentinelConfig& sentinel) {
   return trace::enabled() ||
          (sentinel.policy != SentinelPolicy::kOff && sentinel.grad_norm_limit > 0.0);
+}
+
+void guard_phase(const ShardedStepper& stepper, int phase, double loss,
+                 const SentinelConfig& sentinel) {
+  const char* label = stepper.phase_label(phase);
+  guard_loss(label, loss, sentinel);
+  if (!want_grad_norm(sentinel)) return;
+  const double norm = grad_norm(stepper.phase_params(phase));
+  const bool is_d = stepper.num_phases() > 1 && phase == 0;
+  trace::counter(is_d ? "train.grad_norm.d" : "train.grad_norm.g", norm);
+  guard_grad_norm(label, norm, sentinel);
+}
+
+LossLog::LossLog(std::string label, int phases, int log_every, bool verbose)
+    : label_(std::move(label)), has_d_(phases > 1), log_every_(log_every), verbose_(verbose) {}
+
+void LossLog::add(int step, std::span<const double> losses) {
+  const double g = losses.back();
+  trace::counter("train.loss.g", g);
+  g_acc_ += g;
+  if (has_d_) {
+    trace::counter("train.loss.d", losses.front());
+    d_acc_ += losses.front();
+  }
+  ++acc_n_;
+  if (log_every_ > 0 && (step + 1) % log_every_ == 0) {
+    if (verbose_) {
+      std::ostringstream line;
+      line << label_ << " step " << step + 1;
+      if (has_d_) {
+        line << " G " << g_acc_ / acc_n_ << " D " << d_acc_ / acc_n_;
+      } else {
+        line << " loss " << g_acc_ / acc_n_;
+      }
+      FG_LOG(Info) << line.str();
+    }
+    flush();
+  }
+}
+
+void LossLog::flush() {
+  if (acc_n_ == 0) return;
+  stats_.g_loss_history.push_back(static_cast<float>(g_acc_ / acc_n_));
+  if (has_d_) stats_.d_loss_history.push_back(static_cast<float>(d_acc_ / acc_n_));
+  g_acc_ = d_acc_ = 0.0;
+  acc_n_ = 0;
+}
+
+TrainStats LossLog::finish(int steps) {
+  flush();
+  stats_.steps = steps;
+  return std::move(stats_);
 }
 
 int run_training_loop(const data::PairedDataset& dataset, const TrainConfig& config,

@@ -68,16 +68,19 @@ struct TrainStats {
   std::vector<float> d_loss_history;  // empty for discriminator-free models
 };
 
-/// Phase-structured single-microbatch trainer interface, consumed by the
-/// distributed data-parallel trainer (dist::DistTrainer).
+/// Phase-structured single-microbatch trainer interface: the one place a
+/// network model defines its losses. Local training
+/// (GenerativeModel::fit_stream) is its one-slot caller; the distributed
+/// data-parallel trainer (dist::DistTrainer) runs it on every microbatch
+/// shard.
 ///
 /// A global optimizer step is decomposed into phases (discriminator then
 /// generator/encoder for the GANs; one phase for the cVAE). For each phase
 /// the caller runs forward+backward on every microbatch shard, reduces the
-/// accumulated gradients across shards and ranks, writes the reduced
-/// gradients back, and only then steps the phase's optimizer — so the
-/// generator phase sees the post-update discriminator exactly like the
-/// single-process trainers do. Tensors a later phase needs from an earlier
+/// accumulated gradients across shards and ranks (nothing to reduce for the
+/// one-slot local caller), writes the reduced gradients back, and only then
+/// steps the phase's optimizer — so the generator phase sees the
+/// post-update discriminator. Tensors a later phase needs from an earlier
 /// one (the generated fake, the encoder posterior, the prior latent) are
 /// cached per shard slot between begin_step() and end_step(); their autograd
 /// graphs stay alive so the later phase can backpropagate through them.
@@ -120,23 +123,20 @@ class GenerativeModel {
   /// Human-readable name matching the paper's tables ("cVAE-GAN", ...).
   virtual std::string name() const = 0;
 
-  /// Trains the model in place.
+  /// Trains the model in place: fit_stream over a pipeline::EagerSource of
+  /// `dataset`, so fit_stream(EagerSource(dataset, batch)) is bit-identical
+  /// to fit(dataset). Models without a ShardedStepper (the Gaussian
+  /// baseline) override it with their own fit.
   virtual TrainStats fit(const data::PairedDataset& dataset, const TrainConfig& config,
-                         flashgen::Rng& rng) = 0;
+                         flashgen::Rng& rng);
 
-  /// Trains from a SampleSource instead of an in-memory dataset. The network
-  /// trainers implement fit() as an EagerSource wrapper around this, so
-  /// fit_stream(EagerSource(dataset, batch)) is bit-identical to
-  /// fit(dataset). Models without a streaming path (the Gaussian baseline)
-  /// reject the call.
-  virtual TrainStats fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
-                                flashgen::Rng& rng) {
-    (void)source;
-    (void)config;
-    (void)rng;
-    FG_CHECK(false, name() << " does not support streamed training");
-    return {};
-  }
+  /// Trains from a SampleSource by driving the model's ShardedStepper with
+  /// one slot: each step sets the scheduled learning rate, then for every
+  /// phase in order (D before G) zeroes the gradients, runs the phase on the
+  /// loop `rng`, applies the divergence sentinels and steps the phase's
+  /// optimizer. Models without a stepper reject the call.
+  TrainStats fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
+                        flashgen::Rng& rng);
 
   /// Generates voltages for a batch of program-level arrays (N, 1, S, S).
   /// Stochastic: repeated calls with fresh rng states sample the channel.
@@ -189,8 +189,8 @@ class GenerativeModel {
   /// Serializable root module holding all trainable/buffer state.
   virtual nn::Module& root_module() = 0;
 
-  /// Phase-structured stepper for the distributed trainer, or nullptr when
-  /// the model has no data-parallel training support (e.g. the Gaussian
+  /// Phase-structured stepper driving local and distributed training, or
+  /// nullptr when the model is not trained by gradient steps (the Gaussian
   /// baseline). The stepper borrows this model (and puts it into training
   /// mode); it must not outlive it.
   virtual std::unique_ptr<ShardedStepper> make_sharded_stepper(const TrainConfig& config) {
@@ -263,6 +263,38 @@ void guard_grad_norm(const char* what, double norm, const SentinelConfig& sentin
 /// True when either tracing or an active sentinel wants gradient norms, so
 /// trainers can skip the norm reduction otherwise.
 bool want_grad_norm(const SentinelConfig& sentinel);
+
+/// The sentinels for one phase of a step, run after its gradients are final
+/// and before its optimizer steps: guard_loss on `loss`, then, when wanted,
+/// the global gradient norm over the phase's parameters (traced as
+/// train.grad_norm.{d,g}) and guard_grad_norm.
+void guard_phase(const ShardedStepper& stepper, int phase, double loss,
+                 const SentinelConfig& sentinel);
+
+/// Per-step loss bookkeeping shared by local and distributed training. The
+/// last phase's loss is the G loss (the only loss of a one-phase model) and
+/// phase 0 of a two-phase model the D loss; both are traced as
+/// train.loss.{g,d}. Every `log_every` steps the window means are appended
+/// to the TrainStats histories and, when `verbose`, logged under `label`.
+class LossLog {
+ public:
+  LossLog(std::string label, int phases, int log_every, bool verbose);
+  /// Records step `step`'s per-phase losses (`losses[p]` for phase p).
+  void add(int step, std::span<const double> losses);
+  /// Flushes a partial window into the histories and hands them over.
+  TrainStats finish(int steps);
+
+ private:
+  void flush();
+
+  std::string label_;
+  bool has_d_;
+  int log_every_;
+  bool verbose_;
+  TrainStats stats_;
+  double g_acc_ = 0.0, d_acc_ = 0.0;
+  int acc_n_ = 0;
+};
 
 /// Shared epoch/batch loop: calls `step(pl, vl, cond, step_index)` for every
 /// mini-batch the source serves over `config.epochs` epochs. `cond` is the

@@ -1,5 +1,6 @@
 // Tracing must be observation-only. A traced run and an untraced run of the
-// same cVAE-GAN training step and the same served batch return bit-identical
+// same cVAE-GAN training step (unconditioned and conditioned on
+// (PE, retention)) and the same served batch return bit-identical
 // floats, at every thread count (FLASHGEN_THREADS equivalent of 1 and 4):
 // spans record wall-clock timestamps and nothing else, so they can never
 // perturb RNG streams, reduction orders, or floating-point math.
@@ -15,6 +16,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "core/experiment.h"
 #include "data/dataset.h"
 #include "models/cvae_gan.h"
 #include "serve/batcher.h"
@@ -80,22 +82,34 @@ struct TrainRun {
   bool operator==(const TrainRun&) const = default;
 };
 
-TrainRun run_cvae_gan_step(bool traced, int threads) {
+// One epoch of `kind`: the unconditioned cVAE-GAN on a single-condition
+// dataset, or the conditioned one (ModelKind::Temporal) across a
+// (PE, retention) grid.
+TrainRun run_training_step(core::ModelKind kind, bool traced, int threads) {
   configure(traced, threads);
   flashgen::Rng rng(1);
-  auto dataset = data::PairedDataset::generate(tiny_dataset_config(), rng);
-  models::CvaeGanModel model(tiny_network_config(), /*seed=*/7);
+  const auto dataset = [&] {
+    if (kind != core::ModelKind::Temporal) {
+      return data::PairedDataset::generate(tiny_dataset_config(), rng);
+    }
+    data::DatasetConfig config = tiny_dataset_config();
+    config.num_arrays = 4;  // per condition
+    const std::vector<data::Condition> grid = {
+        {1000.0, 0.0}, {4000.0, 500.0}, {8000.0, 0.0}, {8000.0, 500.0}};
+    return data::PairedDataset::generate_multi(config, grid, rng);
+  }();
+  auto model = core::make_model(kind, tiny_network_config(), /*seed=*/7);
   models::TrainConfig train;
   train.epochs = 1;
   train.batch_size = 8;
   train.log_every = 1;
   flashgen::Rng train_rng(2);
-  const models::TrainStats stats = model.fit(dataset, train, train_rng);
+  const models::TrainStats stats = model->fit(dataset, train, train_rng);
 
   std::vector<std::size_t> indices = {0, 1};
   auto [pl, vl] = dataset.batch(indices);
   flashgen::Rng gen_rng(3);
-  tensor::Tensor out = model.generate(pl, gen_rng);
+  tensor::Tensor out = model->generate(pl, gen_rng);
 
   TrainRun run;
   run.g_hist = stats.g_loss_history;
@@ -105,17 +119,25 @@ TrainRun run_cvae_gan_step(bool traced, int threads) {
   return run;
 }
 
-TEST_F(TraceDeterminismTest, TracedTrainingStepIsBitIdenticalAcrossThreadCounts) {
-  const TrainRun baseline = run_cvae_gan_step(/*traced=*/false, /*threads=*/1);
+void expect_training_bit_identical(core::ModelKind kind) {
+  const TrainRun baseline = run_training_step(kind, /*traced=*/false, /*threads=*/1);
   ASSERT_FALSE(baseline.g_hist.empty());
   ASSERT_FALSE(baseline.d_hist.empty());
   for (int threads : {1, 4}) {
     for (bool traced : {false, true}) {
-      const TrainRun run = run_cvae_gan_step(traced, threads);
-      EXPECT_TRUE(run == baseline)
-          << "training diverged with traced=" << traced << " threads=" << threads;
+      const TrainRun run = run_training_step(kind, traced, threads);
+      EXPECT_TRUE(run == baseline) << core::to_string(kind) << " training diverged with traced="
+                                   << traced << " threads=" << threads;
     }
   }
+}
+
+TEST_F(TraceDeterminismTest, TracedTrainingStepIsBitIdenticalAcrossThreadCounts) {
+  expect_training_bit_identical(core::ModelKind::CvaeGan);
+}
+
+TEST_F(TraceDeterminismTest, TracedConditionedTrainingStepIsBitIdenticalAcrossThreadCounts) {
+  expect_training_bit_identical(core::ModelKind::Temporal);
 }
 
 TEST_F(TraceDeterminismTest, TracedServeBatchIsBitIdenticalAcrossThreadCounts) {

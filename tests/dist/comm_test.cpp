@@ -208,19 +208,13 @@ TEST(CommTest, InjectedRecvFaultThrowsTypedError) {
   run_ranks(
       2,
       [](Comm& comm) {
+        // Both ranks receive and neither sends: whichever thread draws the
+        // first receive call fails with CommError and shuts its sockets
+        // down, and the peer observes that as EOF (also CommError). A frame
+        // sent ahead of the faulted receive would let the other receive
+        // succeed when the ranks' calls land in the other order.
         std::vector<std::uint8_t> got;
-        if (comm.rank() == 0) {
-          EXPECT_THROW(comm.recv_from(1, got), CommError);
-        } else {
-          // Rank 0 shuts its sockets down after the fault; depending on
-          // timing our send already fails, otherwise the receive does.
-          EXPECT_THROW(
-              {
-                comm.send_to(0, bytes_of({1}));
-                comm.recv_from(0, got);
-              },
-              CommError);
-        }
+        EXPECT_THROW(comm.recv_from(1 - comm.rank(), got), CommError);
       },
       CommConfig{.timeout_ms = 2000});
   EXPECT_EQ(faultinject::fired("dist_recv"), 1u);

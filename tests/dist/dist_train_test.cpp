@@ -52,6 +52,22 @@ models::TrainConfig tiny_train_config() {
   return config;
 }
 
+// The conditioned cVAE-GAN (ModelKind::Temporal) trains across the 3x2
+// (PE, retention) grid, 4 arrays per condition; the other kinds on one
+// condition.
+data::PairedDataset dataset_for(core::ModelKind kind) {
+  flashgen::Rng data_rng(1);
+  if (kind != core::ModelKind::Temporal) {
+    return data::PairedDataset::generate(tiny_dataset_config(), data_rng);
+  }
+  data::DatasetConfig config = tiny_dataset_config();
+  config.num_arrays = 4;
+  std::vector<data::Condition> grid;
+  for (double pe : {1000.0, 4000.0, 8000.0})
+    for (double retention : {0.0, 500.0}) grid.push_back({pe, retention});
+  return data::PairedDataset::generate_multi(config, grid, data_rng);
+}
+
 // Full module state (parameters + buffers) as raw bytes, for bitwise
 // comparison.
 std::vector<std::uint8_t> state_blob(models::GenerativeModel& model) {
@@ -76,8 +92,7 @@ struct TrainResult {
 // with identical bits (the reduced gradients and BN updates are replicated).
 TrainResult train_on_threads(core::ModelKind kind, int world, int num_shards,
                              const models::TrainConfig& train) {
-  flashgen::Rng data_rng(1);
-  const auto dataset = data::PairedDataset::generate(tiny_dataset_config(), data_rng);
+  const auto dataset = dataset_for(kind);
   auto comms = make_local_mesh(world, CommConfig{.timeout_ms = 30000});
   std::vector<std::vector<std::uint8_t>> blobs(static_cast<std::size_t>(world));
   std::vector<models::TrainStats> stats(static_cast<std::size_t>(world));
@@ -117,6 +132,10 @@ void expect_bit_identical_across_worlds(core::ModelKind kind) {
 
 TEST(DistTrainTest, CvaeGanBitIdenticalAcrossWorldSizes) {
   expect_bit_identical_across_worlds(core::ModelKind::CvaeGan);
+}
+
+TEST(DistTrainTest, TemporalBitIdenticalAcrossWorldSizes) {
+  expect_bit_identical_across_worlds(core::ModelKind::Temporal);
 }
 
 TEST(DistTrainTest, CganBitIdenticalAcrossWorldSizes) {

@@ -16,6 +16,7 @@
 #include "common/faultinject.h"
 #include "common/parallel.h"
 #include "common/stats.h"
+#include "core/experiment.h"
 #include "data/dataset.h"
 #include "models/cvae_gan.h"
 
@@ -188,30 +189,46 @@ TEST_F(ResumeTest, SnapshottingIsAPureObserver) {
   EXPECT_TRUE(state_of(plain) == state_of(snapped));
 }
 
+// The sentinels live in the shared fit_stream, so every network model
+// trips them the same way.
+constexpr core::ModelKind kNetworkKinds[] = {core::ModelKind::CvaeGan, core::ModelKind::Temporal,
+                                             core::ModelKind::Cgan, core::ModelKind::Cvae,
+                                             core::ModelKind::BicycleGan};
+
 TEST_F(ResumeTest, SentinelHaltsOnNonFiniteLoss) {
   static stats::Counter& divergences = stats::counter("train.divergence_events");
-  const std::uint64_t before = divergences.value();
-
-  faultinject::configure("nan_poison:@1");  // poisons the G loss of step 0
-  auto config = train_config(false);
-  config.snapshot = {};
-  config.sentinel.policy = models::SentinelPolicy::kHalt;
-  models::CvaeGanModel model(net_, /*seed=*/7);
-  flashgen::Rng rng(2);
-  EXPECT_THROW((void)model.fit(*dataset_, config, rng), Error);
-  EXPECT_EQ(divergences.value(), before + 1);
+  for (core::ModelKind kind : kNetworkKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    const std::uint64_t before = divergences.value();
+    // Poisons the second guarded loss: the G loss of step 0 for the GANs,
+    // the loss of step 1 for the one-phase cVAE.
+    faultinject::configure("nan_poison:@1");
+    auto config = train_config(false);
+    config.snapshot = {};
+    config.sentinel.policy = models::SentinelPolicy::kHalt;
+    auto model = core::make_model(kind, net_, /*seed=*/7);
+    flashgen::Rng rng(2);
+    EXPECT_THROW((void)model->fit(*dataset_, config, rng), Error);
+    EXPECT_EQ(divergences.value(), before + 1);
+  }
 }
 
 // The gradient-norm sentinel needs no injection: an absurdly small limit
 // trips on the real gradients of the very first step.
 TEST_F(ResumeTest, GradNormLimitTripsTheSentinel) {
-  auto config = train_config(false);
-  config.snapshot = {};
-  config.sentinel.policy = models::SentinelPolicy::kHalt;
-  config.sentinel.grad_norm_limit = 1e-12;
-  models::CvaeGanModel model(net_, /*seed=*/7);
-  flashgen::Rng rng(2);
-  EXPECT_THROW((void)model.fit(*dataset_, config, rng), Error);
+  static stats::Counter& divergences = stats::counter("train.divergence_events");
+  for (core::ModelKind kind : kNetworkKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    const std::uint64_t before = divergences.value();
+    auto config = train_config(false);
+    config.snapshot = {};
+    config.sentinel.policy = models::SentinelPolicy::kHalt;
+    config.sentinel.grad_norm_limit = 1e-12;
+    auto model = core::make_model(kind, net_, /*seed=*/7);
+    flashgen::Rng rng(2);
+    EXPECT_THROW((void)model->fit(*dataset_, config, rng), Error);
+    EXPECT_EQ(divergences.value(), before + 1);
+  }
 }
 
 TEST_F(ResumeTest, RollbackRestoresLastSnapshotAndFinishesTraining) {

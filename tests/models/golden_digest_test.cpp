@@ -14,6 +14,7 @@
 // Never edit a constant to make a failure go away: a changed digest means
 // changed training or generation bits.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -133,8 +134,11 @@ std::uint64_t file_digest(const std::string& path) {
   return h.value();
 }
 
+// Per process: the reference/ backend twins of these tests run in parallel.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("flashgen_golden_" + name)).string();
+  return (std::filesystem::temp_directory_path() /
+          ("flashgen_golden_" + std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 std::unique_ptr<models::GenerativeModel> fitted(ModelKind kind, models::TrainStats* stats) {

@@ -1,4 +1,4 @@
-#include "models/spatio_temporal.h"
+#include "models/cvae_gan.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,15 @@ NetworkConfig tiny_network_config() {
   config.array_size = 8;
   config.base_channels = 4;
   config.z_dim = 4;
+  return config;
+}
+
+// The cVAE-GAN conditioned on (PE, retention) at the given scales.
+NetworkConfig temporal_config(double pe_scale, double retention_scale = 1000.0) {
+  NetworkConfig config = tiny_network_config();
+  config.condition_dims = 2;
+  config.pe_scale = pe_scale;
+  config.retention_scale = retention_scale;
   return config;
 }
 
@@ -84,14 +93,31 @@ TEST(MultiConditionDataset, WearShiftsLevelMeansAcrossConditions) {
 }
 
 TEST(TemporalModel, RequiresPositivePeScale) {
-  EXPECT_THROW(TemporalCvaeGanModel(tiny_network_config(), 0.0, 1), Error);
+  EXPECT_THROW(CvaeGanModel(temporal_config(0.0), 1), Error);
+}
+
+TEST(TemporalModel, ConditioningIsOnTheConfig) {
+  NetworkConfig pe_only = tiny_network_config();
+  pe_only.condition_dims = 1;
+  EXPECT_THROW(CvaeGanModel(pe_only, 1), Error);  // only (PE, retention) is modeled
+
+  CvaeGanModel plain(tiny_network_config(), 1);
+  CvaeGanModel conditioned(temporal_config(8000.0), 1);
+  EXPECT_FALSE(plain.condition_aware());
+  EXPECT_TRUE(conditioned.condition_aware());
+  EXPECT_EQ(plain.name(), "cVAE-GAN");
+  EXPECT_EQ(conditioned.name(), "cVAE-GAN(PE,ret)");
+  EXPECT_EQ(conditioned.default_condition().pe_cycles, 4000.0);  // pe_scale / 2
+  Tensor pl = Tensor::zeros(Shape{1, 1, 8, 8});
+  flashgen::Rng rng(2);
+  EXPECT_THROW(plain.generate_at(pl, 1000.0, rng), Error);
 }
 
 TEST(TemporalModel, TrainsAndGeneratesAcrossConditions) {
   flashgen::Rng rng(3);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(),
                                                       {1000.0, 8000.0}, rng);
-  TemporalCvaeGanModel model(tiny_network_config(), 10000.0, 7);
+  CvaeGanModel model(temporal_config(10000.0), 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -115,7 +141,7 @@ TEST(TemporalModel, ConditionChangesOutput) {
   flashgen::Rng rng(4);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(),
                                                       {1000.0, 8000.0}, rng);
-  TemporalCvaeGanModel model(tiny_network_config(), 10000.0, 7);
+  CvaeGanModel model(temporal_config(10000.0), 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -135,7 +161,7 @@ TEST(TemporalModel, ConditionChangesOutput) {
 TEST(TemporalModel, GenerateUsesConfiguredDefaultPe) {
   flashgen::Rng rng(5);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(), {4000.0}, rng);
-  TemporalCvaeGanModel model(tiny_network_config(), 8000.0, 7);
+  CvaeGanModel model(temporal_config(8000.0), 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -154,7 +180,7 @@ TEST(TemporalModel, GenerateUsesConfiguredDefaultPe) {
 TEST(TemporalModel, CheckpointRoundTrip) {
   flashgen::Rng rng(6);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(), {4000.0}, rng);
-  TemporalCvaeGanModel a(tiny_network_config(), 8000.0, 7);
+  CvaeGanModel a(temporal_config(8000.0), 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -162,7 +188,7 @@ TEST(TemporalModel, CheckpointRoundTrip) {
   a.fit(ds, config, rng);
   const std::string path = ::testing::TempDir() + "/temporal.ckpt";
   a.save(path);
-  TemporalCvaeGanModel b(tiny_network_config(), 8000.0, 99);
+  CvaeGanModel b(temporal_config(8000.0), 99);
   b.load(path);
   std::vector<std::size_t> indices = {0};
   auto [pl, vl] = ds.batch(indices);
@@ -178,10 +204,10 @@ TEST(TemporalModel, RejectsLegacyPeOnlyCheckpoint) {
   // A v1 checkpoint (no metadata section — what the PE-only model generation
   // wrote) must be refused with the typed CheckpointVersionError, not loaded
   // into a model that would silently mis-normalize its conditions.
-  TemporalCvaeGanModel writer(tiny_network_config(), 8000.0, 7);
+  CvaeGanModel writer(temporal_config(8000.0), 7);
   const std::string path = ::testing::TempDir() + "/temporal_v1.ckpt";
   nn::save_checkpoint(writer.root_module(), path);  // v1: weights only, no meta
-  TemporalCvaeGanModel reader(tiny_network_config(), 8000.0, 7);
+  CvaeGanModel reader(temporal_config(8000.0), 7);
   EXPECT_THROW(reader.load(path), nn::CheckpointVersionError);
   std::remove(path.c_str());
 }
@@ -190,14 +216,14 @@ TEST(TemporalModel, RejectsCheckpointWithMismatchedScales) {
   // Same conditioning version, different normalization scales: the stored
   // weights would interpret every (PE, retention) input differently, so the
   // load must fail with the same typed error.
-  TemporalCvaeGanModel writer(tiny_network_config(), 8000.0, 500.0, 7);
+  CvaeGanModel writer(temporal_config(8000.0, 500.0), 7);
   const std::string path = ::testing::TempDir() + "/temporal_scales.ckpt";
   writer.save(path);
-  TemporalCvaeGanModel wrong_pe(tiny_network_config(), 16000.0, 500.0, 7);
+  CvaeGanModel wrong_pe(temporal_config(16000.0, 500.0), 7);
   EXPECT_THROW(wrong_pe.load(path), nn::CheckpointVersionError);
-  TemporalCvaeGanModel wrong_retention(tiny_network_config(), 8000.0, 1000.0, 7);
+  CvaeGanModel wrong_retention(temporal_config(8000.0, 1000.0), 7);
   EXPECT_THROW(wrong_retention.load(path), nn::CheckpointVersionError);
-  TemporalCvaeGanModel matching(tiny_network_config(), 8000.0, 500.0, 99);
+  CvaeGanModel matching(temporal_config(8000.0, 500.0), 99);
   EXPECT_NO_THROW(matching.load(path));
   std::remove(path.c_str());
 }

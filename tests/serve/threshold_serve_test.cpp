@@ -13,7 +13,7 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
-#include "models/spatio_temporal.h"
+#include "models/cvae_gan.h"
 #include "nn/module.h"
 #include "serve/server.h"
 
@@ -35,8 +35,9 @@ models::NetworkConfig tiny_network_config() {
 // Deterministically initialized (seed-derived weights); the optimizer only
 // samples, so training is unnecessary for exercising the serving path.
 std::unique_ptr<models::GenerativeModel> temporal_model() {
-  return std::make_unique<models::TemporalCvaeGanModel>(tiny_network_config(), 10000.0, 1000.0,
-                                                        /*seed=*/7);
+  models::NetworkConfig config = tiny_network_config();
+  config.condition_dims = 2;  // (PE, retention) at the default 10000 / 1000 scales
+  return std::make_unique<models::CvaeGanModel>(config, /*seed=*/7);
 }
 
 // Condition-unaware stand-in (echoes program levels): threshold queries

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -29,11 +30,20 @@ std::vector<float> reference(bool ta, bool tb, int m, int n, int k, float alpha,
   return c;
 }
 
+// gtest_discover_tests names each ctest case after the printed parameter,
+// which for this struct is its raw bytes. The two bytes after the flags are
+// therefore an explicit zeroed member: as implicit padding they would hold
+// stack garbage and the test names would change from run to run.
 struct GemmCase {
   bool ta, tb;
+  std::uint16_t zero_pad;
   int m, n, k;
   float alpha, beta;
 };
+
+GemmCase gemm_case(bool ta, bool tb, int m, int n, int k, float alpha, float beta) {
+  return GemmCase{ta, tb, 0, m, n, k, alpha, beta};
+}
 
 class GemmParamTest : public ::testing::TestWithParam<GemmCase> {};
 
@@ -60,13 +70,13 @@ TEST_P(GemmParamTest, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllLayouts, GemmParamTest,
-    ::testing::Values(GemmCase{false, false, 7, 9, 11, 1.0f, 0.0f},
-                      GemmCase{false, false, 16, 16, 16, 2.0f, 1.0f},
-                      GemmCase{true, false, 5, 8, 13, 1.0f, 0.5f},
-                      GemmCase{false, true, 6, 10, 4, -1.0f, 0.0f},
-                      GemmCase{true, true, 9, 3, 17, 0.5f, 2.0f},
-                      GemmCase{false, false, 1, 1, 1, 1.0f, 0.0f},
-                      GemmCase{false, false, 64, 300, 257, 1.0f, 0.0f}));
+    ::testing::Values(gemm_case(false, false, 7, 9, 11, 1.0f, 0.0f),
+                      gemm_case(false, false, 16, 16, 16, 2.0f, 1.0f),
+                      gemm_case(true, false, 5, 8, 13, 1.0f, 0.5f),
+                      gemm_case(false, true, 6, 10, 4, -1.0f, 0.0f),
+                      gemm_case(true, true, 9, 3, 17, 0.5f, 2.0f),
+                      gemm_case(false, false, 1, 1, 1, 1.0f, 0.0f),
+                      gemm_case(false, false, 64, 300, 257, 1.0f, 0.0f)));
 
 TEST(Gemm, PropagatesNanFromBWhenAHasExactZeros) {
   // Regression: the kernel used to skip the update when an A entry was

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "models/cvae_gan.h"
-#include "models/spatio_temporal.h"
 
 namespace flashgen::thresholds {
 namespace {
@@ -16,6 +15,14 @@ models::NetworkConfig tiny_network_config() {
   config.array_size = 8;
   config.base_channels = 4;
   config.z_dim = 4;
+  return config;
+}
+
+// The cVAE-GAN conditioned on (PE, retention) at the default 10000 / 1000
+// normalization scales.
+models::NetworkConfig conditioned_network_config() {
+  models::NetworkConfig config = tiny_network_config();
+  config.condition_dims = 2;
   return config;
 }
 
@@ -39,7 +46,7 @@ TEST(ModelSampler, RejectsConditionUnawareModel) {
 }
 
 TEST(ModelSampler, ReturnsOneVoltageRowPerRequest) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::CvaeGanModel model(conditioned_network_config(), /*seed=*/3);
   ModelSampler sampler(model);
   const auto rows = make_rows(3, 8, /*first_stream=*/100);
   const auto out = sampler.sample(rows, /*seed=*/17, {4000.0, 100.0});
@@ -48,7 +55,7 @@ TEST(ModelSampler, ReturnsOneVoltageRowPerRequest) {
 }
 
 TEST(ModelSampler, RowsAreBatchingInvariant) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::CvaeGanModel model(conditioned_network_config(), /*seed=*/3);
   ModelSampler sampler(model);
   const auto rows = make_rows(4, 8, /*first_stream=*/7);
   const data::Condition condition{6000.0, 48.0};
@@ -61,7 +68,7 @@ TEST(ModelSampler, RowsAreBatchingInvariant) {
 }
 
 TEST(ModelSampler, ConditionChangesTheSample) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::CvaeGanModel model(conditioned_network_config(), /*seed=*/3);
   ModelSampler sampler(model);
   const auto rows = make_rows(1, 8, /*first_stream=*/7);
   const auto fresh = sampler.sample(rows, /*seed=*/17, {0.0, 0.0});
@@ -70,7 +77,7 @@ TEST(ModelSampler, ConditionChangesTheSample) {
 }
 
 TEST(ModelSampler, RejectsRaggedAndNonSquareRows) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::CvaeGanModel model(conditioned_network_config(), /*seed=*/3);
   ModelSampler sampler(model);
   auto rows = make_rows(2, 8, /*first_stream=*/0);
   rows[1].program_levels.pop_back();
