@@ -33,6 +33,8 @@
 #include "models/generative_model.h"
 #include "pipeline/prefetch.h"
 #include "pipeline/sample_source.h"
+#include "serve/engine.h"
+#include "tensor/gemm_packed.h"
 
 namespace flashgen {
 namespace {
@@ -254,6 +256,39 @@ TEST(GoldenDigest, TemporalSampleRowsAt) {
   tensor::NoGradGuard no_grad;
   EXPECT_EQ(tensor_digest(model->sample_rows_at(pl_rows(), conditions, rngs)),
             0x4b36acbe92371d65ULL);
+}
+
+// A served batch at the perfbench generate_unet geometry (side 16, 16 base
+// channels) with seeded, untrained weights. Unlike the tiny geometry above,
+// whose GEMMs mostly fall below the packed threshold, these convolutions run
+// the packed microkernels, so this digest pins the packed GEMM path.
+TEST(GoldenDigest, ServedGenerateBatch) {
+  models::NetworkConfig network;
+  network.array_size = 16;
+  network.base_channels = 16;
+  network.z_dim = 8;
+  // First down-conv: 16 output channels over an 8x8 map, (1 + z_dim) * 4 * 4 taps.
+  tensor::GemmDesc first_down;
+  first_down.m = 16;
+  first_down.n = 64;
+  first_down.k = (1 + network.z_dim) * 16;
+  ASSERT_FALSE(tensor::detail::packed_gemm_uses_fallback(first_down));
+
+  auto model = core::make_model(ModelKind::CvaeGan, network, /*seed=*/7);
+  serve::InferenceEngine engine(*model);
+  data::DatasetConfig config = tiny_dataset_config();
+  config.array_size = 16;
+  config.num_arrays = 4;
+  flashgen::Rng data_rng(3);
+  const data::PairedDataset dataset = data::PairedDataset::generate(config, data_rng);
+  std::vector<std::size_t> indices = {0, 1, 2, 3};
+  const tensor::Tensor pl = dataset.batch(indices).first;
+  std::vector<flashgen::Rng> rngs = row_rngs(4);
+  std::vector<float> out(static_cast<std::size_t>(pl.numel()));
+  engine.generate_into(pl, rngs, out);
+  Fnv1a h;
+  h.floats(out);
+  EXPECT_EQ(h.value(), 0x36d809805462004aULL);
 }
 
 }  // namespace
