@@ -146,14 +146,13 @@ void RequestBatcher::submit_async(std::vector<float> program_levels, std::uint64
   {
     std::lock_guard<std::mutex> lock(mutex_);
     FG_CHECK(!stop_, "RequestBatcher: submit after shutdown");
-    if (closed_) {
-      if (metrics_ != nullptr) metrics_->record_shed();
-      throw Overloaded("server is draining; not accepting new requests");
-    }
-    if (policy_.max_queue_depth > 0 && queue_.size() + in_flight_ >= policy_.max_queue_depth) {
+    const bool full =
+        policy_.max_queue_depth > 0 && queue_.size() + in_flight_ >= policy_.max_queue_depth;
+    if (closed_ || full) {
       if (metrics_ != nullptr) metrics_->record_shed();
       static stats::Counter& shed_total = stats::counter("serve.shed");
       shed_total.add();
+      if (closed_) throw Overloaded("server is draining; not accepting new requests");
       std::ostringstream os;
       os << "admission queue full (" << queue_.size() + in_flight_ << "/"
          << policy_.max_queue_depth << ")";

@@ -6,10 +6,10 @@
 //
 //   "reference"  the original row-blocked loop nest. Portable, and the bit
 //                pattern every historical result was produced with.
-//   "avx2"       packed A/B panels + a register-tiled FMA microkernel,
-//                cache-blocked and autotuned (see gemm_autotune.h). Registered
-//                only when the host CPU supports AVX2+FMA; its tile menu
-//                widens to 512-bit kernels when the host also has AVX-512F.
+//   "avx2"       packed A/B panels + a register-tiled FMA microkernel (see
+//                gemm_packed.h). Registered only when the host CPU supports
+//                AVX2+FMA; it runs the 512-bit kernel instead of the 256-bit
+//                one when the host also has AVX-512F.
 //
 // Selection: set_gemm_backend() beats the FLASHGEN_GEMM_BACKEND environment
 // variable (read once, at first dispatch) beats the built-in default, which
@@ -23,7 +23,7 @@
 //     batched call vs. the equivalent loop of single calls: every C element
 //     must be accumulated in a fixed order that depends only on the
 //     per-item (m, n, k) — never on thread count, batch position, leading
-//     strides, or (for the packed backend) the tuned tile shape.
+//     strides, or (for the packed backend) the host's tile shape.
 //   * beta == 0 overwrites C without reading it (NaN-poisoned C stays inert),
 //     beta == 1 adds, anything else scales-and-adds.
 // Backends are NOT required to agree with each other bit-for-bit — switching

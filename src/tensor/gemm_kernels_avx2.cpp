@@ -1,7 +1,7 @@
-// 256-bit FMA microkernels for the packed GEMM backend. This translation
+// The 256-bit FMA microkernel for the packed GEMM backend. This translation
 // unit is compiled for baseline x86-64 + AVX2/FMA regardless of the global
 // -march flags (see src/tensor/CMakeLists.txt), so the binary stays runnable
-// on any AVX2 host; gemm_packed.cpp gates the table behind a CPUID check.
+// on any AVX2 host; gemm_packed.cpp gates the kernel behind a CPUID check.
 #include "tensor/gemm_packed.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -10,13 +10,14 @@
 namespace flashgen::tensor::detail {
 namespace {
 
-// Register tile of MR rows x (NV * 8) columns. One accumulator register per
-// (row, vector) pair, updated by exactly one FMA per k step: each C element
-// is a single rounding chain in strictly increasing-k order, so the bits are
-// independent of the tile shape chosen.
-template <int MR, int NV>
+// The classic 6x16 register tile: MR rows x (NV * 8) columns. One accumulator
+// register per (row, vector) pair, updated by exactly one FMA per k step:
+// each C element is a single rounding chain in strictly increasing-k order,
+// so the bits are independent of the tile shape. 16 ymm registers hold the
+// 12 accumulators, the NV B vectors and one broadcast without spilling.
+constexpr int MR = 6, NV = 2, NR = NV * 8;
+
 void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
-  constexpr int NR = NV * 8;
   __m256 c[MR][NV];
   for (int r = 0; r < MR; ++r)
     for (int v = 0; v < NV; ++v) c[r][v] = _mm256_setzero_ps();
@@ -32,33 +33,18 @@ void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
     for (int v = 0; v < NV; ++v) _mm256_storeu_ps(acc + r * NR + v * 8, c[r][v]);
 }
 
-// 16 ymm registers total; MR * NV accumulators + NV B vectors + 1 broadcast
-// must fit, so MR * NV <= 12 keeps the compiler out of spill territory.
-constexpr MicroKernel kTable[] = {
-    {6, 16, KernelIsa::kAvx2, &kernel<6, 2>},   // the classic 6x16 — default
-    {4, 24, KernelIsa::kAvx2, &kernel<4, 3>},   // wider B reuse, fewer rows
-    {8, 8, KernelIsa::kAvx2, &kernel<8, 1>},    // tall-and-narrow C tiles
-    {12, 8, KernelIsa::kAvx2, &kernel<12, 1>},  // broadcast-heavy, max rows
-    {4, 16, KernelIsa::kAvx2, &kernel<4, 2>},   // small-m edge friendliness
-    {2, 32, KernelIsa::kAvx2, &kernel<2, 4>},   // skinny-m, streaming B
-};
+constexpr MicroKernel kKernel{MR, NR, &kernel};
 
 }  // namespace
 
-const MicroKernel* avx2_kernel_table(int* count) {
-  *count = static_cast<int>(sizeof(kTable) / sizeof(kTable[0]));
-  return kTable;
-}
+const MicroKernel* avx2_kernel() { return &kKernel; }
 
 }  // namespace flashgen::tensor::detail
 
-#else  // non-x86: no table; the packed backend is not registered.
+#else  // non-x86: no kernel; the packed backend is not registered.
 
 namespace flashgen::tensor::detail {
-const MicroKernel* avx2_kernel_table(int* count) {
-  *count = 0;
-  return nullptr;
-}
+const MicroKernel* avx2_kernel() { return nullptr; }
 }  // namespace flashgen::tensor::detail
 
 #endif

@@ -1,7 +1,7 @@
-// 512-bit FMA microkernels for the packed GEMM backend. Same contract as the
-// AVX2 table (one FMA chain per C element, strict k order), so every kernel
-// here produces bit-identical results to the 256-bit ones — AVX-512 is purely
-// a throughput upgrade, selected at runtime when the host supports it.
+// The 512-bit FMA microkernel for the packed GEMM backend. Same contract as
+// the AVX2 kernel (one FMA chain per C element, strict k order), so it
+// produces bit-identical results to the 256-bit one — AVX-512 is purely a
+// throughput upgrade, selected at runtime when the host supports it.
 #include "tensor/gemm_packed.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -10,9 +10,11 @@
 namespace flashgen::tensor::detail {
 namespace {
 
-template <int MR, int NV>
+// A 14x32 register tile: 28 accumulators + NV B vectors + 1 broadcast fit
+// the 32 zmm registers.
+constexpr int MR = 14, NV = 2, NR = NV * 16;
+
 void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
-  constexpr int NR = NV * 16;
   __m512 c[MR][NV];
   for (int r = 0; r < MR; ++r)
     for (int v = 0; v < NV; ++v) c[r][v] = _mm512_setzero_ps();
@@ -28,32 +30,18 @@ void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
     for (int v = 0; v < NV; ++v) _mm512_storeu_ps(acc + r * NR + v * 16, c[r][v]);
 }
 
-// 32 zmm registers; MR * NV accumulators + NV B vectors + 1 broadcast <= 31.
-constexpr MicroKernel kTable[] = {
-    {14, 32, KernelIsa::kAvx512, &kernel<14, 2>},  // 28 accumulators — default
-    {8, 48, KernelIsa::kAvx512, &kernel<8, 3>},    // wider B strips
-    {6, 64, KernelIsa::kAvx512, &kernel<6, 4>},    // very wide C rows
-    {16, 16, KernelIsa::kAvx512, &kernel<16, 1>},  // tall tiles, narrow n
-    {28, 16, KernelIsa::kAvx512, &kernel<28, 1>},  // max rows per B load
-    {4, 32, KernelIsa::kAvx512, &kernel<4, 2>},    // small-m edge friendliness
-};
+constexpr MicroKernel kKernel{MR, NR, &kernel};
 
 }  // namespace
 
-const MicroKernel* avx512_kernel_table(int* count) {
-  *count = static_cast<int>(sizeof(kTable) / sizeof(kTable[0]));
-  return kTable;
-}
+const MicroKernel* avx512_kernel() { return &kKernel; }
 
 }  // namespace flashgen::tensor::detail
 
 #else
 
 namespace flashgen::tensor::detail {
-const MicroKernel* avx512_kernel_table(int* count) {
-  *count = 0;
-  return nullptr;
-}
+const MicroKernel* avx512_kernel() { return nullptr; }
 }  // namespace flashgen::tensor::detail
 
 #endif

@@ -1,6 +1,6 @@
 // The packed ("avx2") GEMM backend: pack op(A)/op(B) into microkernel-shaped
-// panels, then sweep register tiles over them with an FMA microkernel chosen
-// by the autotuner. Three deterministic-parallel phases per call:
+// panels, then sweep register tiles over them with the widest FMA microkernel
+// the host supports. Three deterministic-parallel phases per call:
 //
 //   1. pack A  — (view, row-strip) chunks write disjoint [k][mr] panels with
 //                alpha folded in and tail rows zero-padded;
@@ -12,15 +12,14 @@
 // Every phase partitions by shape (and tile config) only, and each C element
 // is produced by exactly one chunk as a single full-k FMA chain, so results
 // are bit-identical across thread counts, batched-vs-looped calls, leading
-// strides, and — because the chain never changes — every kernel in the menu.
+// strides, and — because the chain never changes — both ISAs' kernels.
 // Problems too small to amortize packing fall back to the reference loop
 // nest; the decision depends only on the per-item (m, n, k).
-#include <atomic>
 #include <memory>
+#include <vector>
 
 #include "common/error.h"
 #include "common/parallel.h"
-#include "tensor/gemm_autotune.h"
 #include "tensor/gemm_backend.h"
 #include "tensor/gemm_packed.h"
 #include "tensor/gemm_util.h"
@@ -31,15 +30,13 @@ namespace detail {
 
 namespace {
 
-// Largest register tile in any menu (28x16 / 8x48 / 14x32 are all <= 448).
+// Room for the largest register tile (the AVX-512 14x32 tile is 448 floats).
 constexpr int kMaxTileElems = 512;
 
 // Packed-path threshold: below this the packing traffic (m*k + k*n extra
 // reads/writes) rivals the multiply count and the plain loop nest wins.
 // Depends only on the per-item shape so batched and looped calls agree.
 constexpr std::int64_t kMinPackedFlops = std::int64_t{1} << 14;
-
-std::atomic<int> g_forced_kernel{-1};
 
 bool cpu_has_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -194,60 +191,43 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const
                        });
 }
 
-const MicroKernel* packed_kernel_menu(int* count) {
-  static const std::vector<MicroKernel> menu = [] {
+std::span<const MicroKernel> packed_kernels() {
+  static const std::vector<MicroKernel> kernels = [] {
     std::vector<MicroKernel> out;
     if (cpu_has_avx2_fma()) {
-      // Widest ISA first: index 0 is the no-autotune default.
-      if (cpu_has_avx512f()) {
-        int n = 0;
-        const MicroKernel* t = avx512_kernel_table(&n);
-        out.insert(out.end(), t, t + n);
-      }
-      int n = 0;
-      const MicroKernel* t = avx2_kernel_table(&n);
-      out.insert(out.end(), t, t + n);
+      if (cpu_has_avx512f()) out.push_back(*avx512_kernel());
+      out.push_back(*avx2_kernel());
     }
     return out;
   }();
-  *count = static_cast<int>(menu.size());
-  return menu.empty() ? nullptr : menu.data();
-}
-
-void set_forced_packed_kernel(int index) {
-  int count = 0;
-  packed_kernel_menu(&count);
-  FG_CHECK(index < count, "forced gemm kernel index " << index << " out of range (menu has "
-                                                      << count << ")");
-  g_forced_kernel.store(index < 0 ? -1 : index, std::memory_order_relaxed);
+  return kernels;
 }
 
 namespace {
 
 class PackedGemmBackend final : public GemmBackend {
  public:
+  explicit PackedGemmBackend(const MicroKernel& kernel) : kernel_(kernel) {}
   const char* name() const override { return "avx2"; }
   void run(const GemmDesc& desc, const float* a, const float* b, float* c) const override {
     if (packed_gemm_uses_fallback(desc)) {
       reference_gemm(desc, a, b, c);
       return;
     }
-    int count = 0;
-    const MicroKernel* menu = packed_kernel_menu(&count);
-    const int forced = g_forced_kernel.load(std::memory_order_relaxed);
-    const int index = forced >= 0 ? forced : GemmTuner::instance().kernel_for(desc);
-    packed_gemm_with_kernel(menu[index], desc, a, b, c);
+    packed_gemm_with_kernel(kernel_, desc, a, b, c);
   }
+
+ private:
+  const MicroKernel kernel_;
 };
 
 }  // namespace
 }  // namespace detail
 
 std::unique_ptr<GemmBackend> make_packed_gemm_backend() {
-  int count = 0;
-  detail::packed_kernel_menu(&count);
-  if (count == 0) return nullptr;  // host can't run any kernel in the menu
-  return std::make_unique<detail::PackedGemmBackend>();
+  const auto kernels = detail::packed_kernels();
+  if (kernels.empty()) return nullptr;  // host can't run either kernel
+  return std::make_unique<detail::PackedGemmBackend>(kernels.front());
 }
 
 }  // namespace flashgen::tensor

@@ -1,6 +1,6 @@
-// Internals of the packed ("avx2") GEMM backend: the microkernel menu, the
-// forced-kernel hook used by the autotuner/tests, and the backend factories.
-// Tests and the autotuner include this; everything else goes through gemm.h.
+// Internals of the packed ("avx2") GEMM backend: one microkernel per ISA and
+// the backend factories. Tests include this; everything else goes through
+// gemm.h.
 //
 // A microkernel computes a full-K register tile: given packed panels
 //   pa[k][mr] = alpha * op(A)[i0+r][p]   (rows beyond m zero-padded)
@@ -8,12 +8,13 @@
 // it accumulates acc[r][j] = sum_p pa[p][r] * pb[p][j] with one FMA chain per
 // element, strictly in increasing-p order. Because every element's sum is a
 // single rounding chain over the full k range, the result bits are identical
-// for every kernel in the menu (any mr/nr, 256-bit or 512-bit lanes) — which
-// is what makes autotuning bit-safe.
+// for every kernel (any mr/nr, 256-bit or 512-bit lanes), so the host's ISA
+// decides speed, never bits.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "tensor/gemm_backend.h"
 
@@ -26,28 +27,18 @@ std::unique_ptr<GemmBackend> make_packed_gemm_backend();
 
 namespace detail {
 
-/// Instruction set a microkernel was compiled for. Doubles as the ISA tag in
-/// the tune-cache file format, so the values are stable.
-enum class KernelIsa : std::uint8_t { kAvx2 = 0, kAvx512 = 1 };
-
 struct MicroKernel {
   int mr;  // register-tile rows
   int nr;  // register-tile columns (multiple of the vector width)
-  KernelIsa isa;
   void (*run)(std::int64_t k, const float* pa, const float* pb, float* acc);
 };
 
-/// The menu of kernels usable on this host, fastest-first heuristically
-/// (index 0 is the no-autotune default). Empty when AVX2+FMA is missing.
-/// The pointer is stable for the process lifetime.
-const MicroKernel* packed_kernel_menu(int* count);
+/// The kernels this host can run, widest ISA first: the AVX-512 14x32 tile
+/// when the CPU has AVX-512F, then the AVX2 6x16 tile. The backend runs the
+/// first. Empty when AVX2+FMA is missing; stable for the process lifetime.
+std::span<const MicroKernel> packed_kernels();
 
-/// Forces every packed-path GEMM onto menu[index] (-1 restores tuned/default
-/// selection). Test/bench hook — also how the autotuner measures candidates.
-void set_forced_packed_kernel(int index);
-
-/// Runs `desc` through the packed path with an explicit kernel, bypassing the
-/// tuner (which is what the tuner's own measurements call).
+/// Runs `desc` through the packed path with an explicit kernel.
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, const float* a,
                              const float* b, float* c);
 
@@ -56,12 +47,12 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, co
 /// tests can pick shapes on both sides of the threshold.
 bool packed_gemm_uses_fallback(const GemmDesc& desc);
 
-// Per-ISA kernel tables, defined in gemm_kernels_avx2.cpp /
-// gemm_kernels_avx512.cpp (compiled with the matching -m flags). A table may
-// be present in the binary yet unusable on the host; packed_kernel_menu()
+// Per-ISA kernels, defined in gemm_kernels_avx2.cpp / gemm_kernels_avx512.cpp
+// (compiled with the matching -m flags); nullptr on non-x86 builds. A kernel
+// may be present in the binary yet unusable on the host; packed_kernels()
 // applies the runtime CPUID gate.
-const MicroKernel* avx2_kernel_table(int* count);
-const MicroKernel* avx512_kernel_table(int* count);
+const MicroKernel* avx2_kernel();
+const MicroKernel* avx512_kernel();
 
 }  // namespace detail
 }  // namespace flashgen::tensor

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/stats.h"
 #include "core/experiment.h"
 #include "data/dataset.h"
 #include "serve/batcher.h"
@@ -166,6 +167,20 @@ TEST_F(BatcherTest, RecordsQueueAndBatchMetrics) {
   const std::string json = metrics.to_json();
   EXPECT_NE(json.find("\"batches\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth_peak\""), std::string::npos);
+}
+
+// A submit after close() is shed on the draining path: it must count once in
+// ServeMetrics and once in the process-wide serve.shed counter, like a shed
+// on a full queue.
+TEST_F(BatcherTest, SubmitAfterCloseCountsOneShedInBothCounters) {
+  stats::Counter& shed_total = stats::counter("serve.shed");
+  ServeMetrics metrics;
+  RequestBatcher batcher(*engine_, Shape({1, 8, 8}), BatchPolicy{}, &metrics);
+  batcher.close();
+  const std::uint64_t before = shed_total.value();
+  EXPECT_THROW((void)batcher.submit(rows_[0], kSeed, 0), Overloaded);
+  EXPECT_EQ(shed_total.value(), before + 1);
+  EXPECT_NE(metrics.to_json().find("\"shed\": 1,"), std::string::npos) << metrics.to_json();
 }
 
 }  // namespace

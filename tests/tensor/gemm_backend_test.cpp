@@ -314,45 +314,53 @@ TEST(GemmBackendRegistry, UnknownNameThrowsAndKeepsSelection) {
   EXPECT_EQ(gemm_backend_name(), before);
 }
 
-// Every kernel in the packed menu must produce the same bits: each C element
-// is one full-k FMA chain regardless of tile shape or vector width, which is
-// the invariant that makes autotuning (and the AVX-512 menu) bit-safe.
+// Every packed kernel the host can run must produce the same bits: each C
+// element is one full-k FMA chain regardless of tile shape or vector width,
+// which is what lets the backend pick the widest ISA without changing results.
 TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
-  int count = 0;
-  detail::packed_kernel_menu(&count);
-  if (count == 0) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
+  const auto kernels = detail::packed_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
 
-  const std::string before = gemm_backend_name();
-  set_gemm_backend("avx2");
+  GemmDesc plain;
+  plain.m = 37;
+  plain.n = 83;
+  plain.k = 51;
+  plain.alpha = 1.25f;
+  plain.beta = 0.5f;
+  plain.lda = plain.k;
+  plain.ldb = plain.n;
+  plain.ldc = plain.n;
+  // The shared-weight form conv uses: one (m x k) weight against a batch of
+  // im2col matrices, here the first U-Net down-conv at side 16.
+  GemmDesc shared_a;
+  shared_a.m = 16;
+  shared_a.n = 64;
+  shared_a.k = 144;
+  shared_a.lda = shared_a.k;
+  shared_a.ldb = shared_a.n;
+  shared_a.ldc = shared_a.n;
+  shared_a.batch_count = 3;
+  shared_a.stride_b = shared_a.k * shared_a.ldb;
+  shared_a.stride_c = shared_a.m * shared_a.ldc;
+
   flashgen::Rng rng(2718);
-  GemmDesc d;
-  d.m = 37;
-  d.n = 83;
-  d.k = 51;
-  d.alpha = 1.25f;
-  d.beta = 0.5f;
-  d.lda = d.k;
-  d.ldb = d.n;
-  d.ldc = d.n;
-  ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
-  std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
-  fill_normal(a, rng);
-  fill_normal(b, rng);
-  fill_normal(c0, rng);
+  for (const GemmDesc& d : {plain, shared_a}) {
+    ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
+    std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
+    fill_normal(a, rng);
+    fill_normal(b, rng);
+    fill_normal(c0, rng);
 
-  std::vector<float> first;
-  for (int index = 0; index < count; ++index) {
-    detail::set_forced_packed_kernel(index);
-    std::vector<float> c = c0;
-    sgemm_strided_batched(d, a.data(), b.data(), c.data());
-    if (index == 0) {
-      first = c;
-    } else {
-      EXPECT_EQ(c, first) << "kernel " << index << " diverged from kernel 0";
+    std::vector<float> first = c0;
+    detail::packed_gemm_with_kernel(kernels[0], d, a.data(), b.data(), first.data());
+    for (std::size_t index = 1; index < kernels.size(); ++index) {
+      std::vector<float> c = c0;
+      detail::packed_gemm_with_kernel(kernels[index], d, a.data(), b.data(), c.data());
+      EXPECT_EQ(c, first) << kernels[index].mr << "x" << kernels[index].nr << " diverged from "
+                          << kernels[0].mr << "x" << kernels[0].nr
+                          << " at batch_count=" << d.batch_count;
     }
   }
-  detail::set_forced_packed_kernel(-1);
-  set_gemm_backend(before);
 }
 
 }  // namespace
