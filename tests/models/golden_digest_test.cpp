@@ -258,37 +258,52 @@ TEST(GoldenDigest, TemporalSampleRowsAt) {
             0x4b36acbe92371d65ULL);
 }
 
-// A served batch at the perfbench generate_unet geometry (side 16, 16 base
-// channels) with seeded, untrained weights. Unlike the tiny geometry above,
-// whose GEMMs mostly fall below the packed threshold, these convolutions run
-// the packed microkernels, so this digest pins the packed GEMM path.
-TEST(GoldenDigest, ServedGenerateBatch) {
+// The perfbench generate_unet geometry: side 16, 16 base channels.
+models::NetworkConfig served_network() {
   models::NetworkConfig network;
   network.array_size = 16;
   network.base_channels = 16;
   network.z_dim = 8;
-  // First down-conv: 16 output channels over an 8x8 map, (1 + z_dim) * 4 * 4 taps.
-  tensor::GemmDesc first_down;
-  first_down.m = 16;
-  first_down.n = 64;
-  first_down.k = (1 + network.z_dim) * 16;
-  ASSERT_FALSE(tensor::detail::packed_gemm_uses_fallback(first_down));
+  return network;
+}
 
-  auto model = core::make_model(ModelKind::CvaeGan, network, /*seed=*/7);
+// `rows` rows served through InferenceEngine::generate_into at the served
+// geometry with seeded, untrained weights. Unlike the tiny geometry above,
+// whose GEMMs mostly fall below the packed threshold, these convolutions run
+// the packed microkernels, so these digests pin the packed GEMM path.
+std::uint64_t served_digest(std::size_t rows) {
+  auto model = core::make_model(ModelKind::CvaeGan, served_network(), /*seed=*/7);
   serve::InferenceEngine engine(*model);
   data::DatasetConfig config = tiny_dataset_config();
   config.array_size = 16;
   config.num_arrays = 4;
   flashgen::Rng data_rng(3);
   const data::PairedDataset dataset = data::PairedDataset::generate(config, data_rng);
-  std::vector<std::size_t> indices = {0, 1, 2, 3};
+  std::vector<std::size_t> indices(rows);
+  for (std::size_t i = 0; i < rows; ++i) indices[i] = i;
   const tensor::Tensor pl = dataset.batch(indices).first;
-  std::vector<flashgen::Rng> rngs = row_rngs(4);
+  std::vector<flashgen::Rng> rngs = row_rngs(rows);
   std::vector<float> out(static_cast<std::size_t>(pl.numel()));
   engine.generate_into(pl, rngs, out);
   Fnv1a h;
   h.floats(out);
-  EXPECT_EQ(h.value(), 0x36d809805462004aULL);
+  return h.value();
+}
+
+TEST(GoldenDigest, ServedGenerateBatch) {
+  // First down-conv: 16 output channels over an 8x8 map, (1 + z_dim) * 4 * 4 taps.
+  tensor::GemmDesc first_down;
+  first_down.m = 16;
+  first_down.n = 64;
+  first_down.k = (1 + served_network().z_dim) * 16;
+  ASSERT_FALSE(tensor::detail::packed_gemm_uses_fallback(first_down));
+  EXPECT_EQ(served_digest(4), 0x36d809805462004aULL);
+}
+
+// One row alone: every convolution runs as a single-item GEMM (the
+// per-sample path, no batch to fold into columns).
+TEST(GoldenDigest, ServedGenerateSingleRow) {
+  EXPECT_EQ(served_digest(1), 0xdebd4afffdd9c262ULL);
 }
 
 }  // namespace
