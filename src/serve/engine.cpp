@@ -8,6 +8,19 @@
 
 namespace flashgen::serve {
 
+namespace {
+
+// The generated array has the input's shape, so `out` is checked against the
+// input before the forward pass (a wrong-sized buffer costs no compute and
+// counts no rows) and against the result before the copy.
+void check_output_span(const Tensor& t, std::span<const float> out) {
+  FG_CHECK(t.defined() && static_cast<std::size_t>(t.numel()) == out.size(),
+           "InferenceEngine: output buffer holds " << out.size() << " floats but batch needs "
+                                                   << (t.defined() ? t.numel() : 0));
+}
+
+}  // namespace
+
 InferenceEngine::InferenceEngine(models::GenerativeModel& model) : model_(model) {
   model_.prepare_generation();
 }
@@ -40,10 +53,9 @@ Tensor InferenceEngine::sample_rows(const Tensor& pl, std::span<flashgen::Rng> r
 
 void InferenceEngine::generate_into(const Tensor& pl, std::span<flashgen::Rng> rngs,
                                     std::span<float> out) {
+  check_output_span(pl, out);
   Tensor result = sample_rows(pl, rngs);
-  FG_CHECK(result.data().size() == out.size(),
-           "InferenceEngine: output buffer holds " << out.size() << " floats but batch needs "
-                                                   << result.data().size());
+  check_output_span(result, out);
   std::copy(result.data().begin(), result.data().end(), out.begin());
 }
 
@@ -70,10 +82,9 @@ Tensor InferenceEngine::sample_rows_at(const Tensor& pl,
 void InferenceEngine::generate_into_at(const Tensor& pl,
                                        std::span<const data::Condition> conditions,
                                        std::span<flashgen::Rng> rngs, std::span<float> out) {
+  check_output_span(pl, out);
   Tensor result = sample_rows_at(pl, conditions, rngs);
-  FG_CHECK(result.data().size() == out.size(),
-           "InferenceEngine: output buffer holds " << out.size() << " floats but batch needs "
-                                                   << result.data().size());
+  check_output_span(result, out);
   std::copy(result.data().begin(), result.data().end(), out.begin());
 }
 

@@ -22,8 +22,9 @@
 //   * Results are bit-identical for any FLASHGEN_THREADS value and for a
 //     batched call vs. the equivalent loop of single calls: every C element
 //     must be accumulated in a fixed order that depends only on the
-//     per-item (m, n, k) — never on thread count, batch position, leading
-//     strides, or (for the packed backend) the host's tile shape.
+//     per-item descriptor (m, n, k, beta) — never on thread count, batch
+//     size or position, leading strides, or (for the packed backend) the
+//     host's tile shape or the tile column a shared-A batch folds it into.
 //   * beta == 0 overwrites C without reading it (NaN-poisoned C stays inert),
 //     beta == 1 adds, anything else scales-and-adds.
 // Backends are NOT required to agree with each other bit-for-bit — switching

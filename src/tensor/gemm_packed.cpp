@@ -6,15 +6,22 @@
 //                alpha folded in and tail rows zero-padded;
 //   2. pack B  — (view, col-strip) chunks write disjoint [k][nr] panels with
 //                tail columns zero-padded;
-//   3. macro   — (item, row-strip) chunks run the microkernel over every
-//                column strip and write back C with beta applied once.
+//   3. macro   — (view, col-strip, row-strip) tiles run the microkernel and
+//                write back C with beta applied once.
 //
-// Every phase partitions by shape (and tile config) only, and each C element
-// is produced by exactly one chunk as a single full-k FMA chain, so results
-// are bit-identical across thread counts, batched-vs-looped calls, leading
+// A shared A (stride_a == 0, the conv weight) is packed once and the batch
+// folds into columns: column J of one virtual (k, batch*n) op(B) is column
+// J % n of item J / n, so a batch of 1-column items fills whole tiles. Every
+// phase partitions by shape (and tile config) only, and each C element is
+// produced by exactly one tile as a single full-k FMA chain, so results are
+// bit-identical across thread counts, batched-vs-looped calls, leading
 // strides, and — because the chain never changes — both ISAs' kernels.
 // Problems too small to amortize packing fall back to the reference loop
-// nest; the decision depends only on the per-item (m, n, k).
+// nest; the decision depends only on the per-item (m, n, k, beta). At
+// beta == 0 both paths run the same chain from zero, so only k and the flop
+// count decide; at beta != 0 the reference chain starts at C while the packed
+// one adds C after it, so items narrower than 8 columns keep the reference.
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -79,26 +86,36 @@ void pack_a_strip(const GemmDesc& d, const float* a, std::int64_t i0, std::int64
   }
 }
 
-// dst[p][j] = op(B)[p][j0 + j] for j < cols, 0 beyond.
-void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t j0, std::int64_t cols,
-                  std::int64_t nr, float* dst) {
-  const std::int64_t k = d.k;
-  if (d.trans_b) {
-    // Stored B is n x k with row stride ldb: op(B)[p][j] = b[j*ldb + p].
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const float* src = b + (j0 + j) * d.ldb;
-      for (std::int64_t p = 0; p < k; ++p) dst[p * nr + j] = src[p];
-    }
-    for (std::int64_t j = cols; j < nr; ++j)
-      for (std::int64_t p = 0; p < k; ++p) dst[p * nr + j] = 0.0f;
-  } else {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float* src = b + p * d.ldb + j0;
-      float* out = dst + p * nr;
-      for (std::int64_t j = 0; j < cols; ++j) out[j] = src[j];
-      for (std::int64_t j = cols; j < nr; ++j) out[j] = 0.0f;
-    }
+// Splits the virtual columns [j0, j0 + width) of view v into per-item runs:
+// virtual column J is column J % n of item v + J / n.
+template <class Fn>
+void for_each_item_run(std::int64_t n, std::int64_t v, std::int64_t j0, std::int64_t width,
+                       Fn&& fn) {
+  for (std::int64_t j = 0; j < width;) {
+    const std::int64_t item = v + (j0 + j) / n, col = (j0 + j) % n;
+    const std::int64_t run = std::min(width - j, n - col);
+    fn(item, col, j, run);
+    j += run;
   }
+}
+
+// dst[p][j] = virtual op(B)[p][j0 + j] of view v for j < width, 0 beyond.
+void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t v, std::int64_t j0,
+                  std::int64_t width, std::int64_t nr, float* dst) {
+  const std::int64_t k = d.k;
+  for_each_item_run(d.n, v, j0, width, [&](std::int64_t item, std::int64_t col, std::int64_t j,
+                                           std::int64_t run) {
+    const float* src = b + item * d.stride_b;
+    if (d.trans_b) {
+      // Stored B is n x k with row stride ldb: op(B)[p][j] = b[j*ldb + p].
+      for (std::int64_t q = 0; q < run; ++q)
+        for (std::int64_t p = 0; p < k; ++p) dst[p * nr + j + q] = src[(col + q) * d.ldb + p];
+    } else {
+      for (std::int64_t p = 0; p < k; ++p)
+        std::copy_n(src + p * d.ldb + col, run, dst + p * nr + j);
+    }
+  });
+  for (std::int64_t p = 0; p < k; ++p) std::fill(dst + p * nr + width, dst + (p + 1) * nr, 0.0f);
 }
 
 // C tile <- acc with beta applied. beta == 0 never reads C (poisoned C stays
@@ -123,15 +140,15 @@ void write_tile(const float* acc, std::int64_t nr, std::int64_t rows, std::int64
 std::int64_t pack_grain(std::int64_t elems_per_strip) {
   return std::max<std::int64_t>(1, (std::int64_t{1} << 14) / std::max<std::int64_t>(1, elems_per_strip));
 }
-std::int64_t macro_grain(std::int64_t mr, std::int64_t n, std::int64_t k) {
-  const std::int64_t flops = std::max<std::int64_t>(1, mr * n * k);
-  return std::max<std::int64_t>(1, (std::int64_t{1} << 15) / flops);
+std::int64_t macro_grain(std::int64_t tile_flops) {
+  return std::max<std::int64_t>(1, (std::int64_t{1} << 15) / std::max<std::int64_t>(1, tile_flops));
 }
 
 }  // namespace
 
 bool packed_gemm_uses_fallback(const GemmDesc& desc) {
-  return desc.n < 8 || desc.k < 2 || desc.m * desc.n * desc.k < kMinPackedFlops;
+  return (desc.beta != 0.0f && desc.n < 8) || desc.k < 2 ||
+         desc.m * desc.n * desc.k < kMinPackedFlops;
 }
 
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const float* a,
@@ -139,54 +156,56 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const
   const std::int64_t mr = kernel.mr, nr = kernel.nr;
   FG_CHECK(mr * nr <= kMaxTileElems, "gemm microkernel tile too large: " << mr << "x" << nr);
   const std::int64_t m = d.m, n = d.n, k = d.k, batch = d.batch_count;
+  // Views are the distinct A operands; a shared A folds the batch into
+  // columns of one virtual B, so there is one view of width batch * n.
+  const bool fold = d.stride_a == 0;
+  const std::int64_t views = fold ? 1 : batch;
+  const std::int64_t width = fold ? batch * n : n;
+  const std::int64_t b_views = fold || d.stride_b == 0 ? 1 : batch;
   const std::int64_t m_strips = (m + mr - 1) / mr;
-  const std::int64_t n_strips = (n + nr - 1) / nr;
-  // A stride of 0 shares the operand across items: pack it once.
-  const std::int64_t a_views = d.stride_a == 0 ? 1 : batch;
-  const std::int64_t b_views = d.stride_b == 0 ? 1 : batch;
+  const std::int64_t n_strips = (width + nr - 1) / nr;
   const std::int64_t pa_strip = mr * k, pb_strip = nr * k;
 
-  ScratchBuffer pa(static_cast<std::size_t>(a_views) * m_strips * pa_strip);
+  ScratchBuffer pa(static_cast<std::size_t>(views) * m_strips * pa_strip);
   ScratchBuffer pb(static_cast<std::size_t>(b_views) * n_strips * pb_strip);
 
-  common::parallel_for(0, a_views * m_strips, pack_grain(pa_strip),
+  common::parallel_for(0, views * m_strips, pack_grain(pa_strip),
                        [&](std::int64_t t0, std::int64_t t1) {
                          for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t s = t / m_strips, is = t % m_strips;
-                           const std::int64_t i0 = is * mr;
-                           pack_a_strip(d, a + s * d.stride_a, i0, std::min(mr, m - i0), mr,
+                           const std::int64_t v = t / m_strips, i0 = (t % m_strips) * mr;
+                           pack_a_strip(d, a + v * d.stride_a, i0, std::min(mr, m - i0), mr,
                                         pa.data() + t * pa_strip);
                          }
                        });
   common::parallel_for(0, b_views * n_strips, pack_grain(pb_strip),
                        [&](std::int64_t t0, std::int64_t t1) {
                          for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t s = t / n_strips, js = t % n_strips;
-                           const std::int64_t j0 = js * nr;
-                           pack_b_strip(d, b + s * d.stride_b, j0, std::min(nr, n - j0), nr,
+                           const std::int64_t v = t / n_strips, j0 = (t % n_strips) * nr;
+                           pack_b_strip(d, b, v, j0, std::min(nr, width - j0), nr,
                                         pb.data() + t * pb_strip);
                          }
                        });
 
-  common::parallel_for(0, batch * m_strips, macro_grain(mr, n, k),
+  // Tiles run row strips fastest, so one B panel is reused across all of A.
+  const std::int64_t tiles = n_strips * m_strips;
+  common::parallel_for(0, views * tiles, macro_grain(mr * nr * k),
                        [&](std::int64_t t0, std::int64_t t1) {
                          alignas(64) float acc[kMaxTileElems];
                          for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t s = t / m_strips, is = t % m_strips;
-                           const std::int64_t i0 = is * mr;
+                           const std::int64_t v = t / tiles, js = (t % tiles) / m_strips;
+                           const std::int64_t is = t % m_strips;
+                           const std::int64_t i0 = is * mr, j0 = js * nr;
                            const std::int64_t rows = std::min(mr, m - i0);
-                           const float* pa_s =
-                               pa.data() +
-                               ((a_views == 1 ? 0 : s) * m_strips + is) * pa_strip;
-                           const float* pb_base =
-                               pb.data() + (b_views == 1 ? 0 : s) * n_strips * pb_strip;
-                           float* c_item = c + s * d.stride_c + i0 * d.ldc;
-                           for (std::int64_t js = 0; js < n_strips; ++js) {
-                             kernel.run(k, pa_s, pb_base + js * pb_strip, acc);
-                             const std::int64_t j0 = js * nr;
-                             write_tile(acc, nr, rows, std::min(nr, n - j0), d.beta,
-                                        c_item + j0, d.ldc);
-                           }
+                           const std::int64_t vb = b_views == 1 ? 0 : v;
+                           kernel.run(k, pa.data() + (v * m_strips + is) * pa_strip,
+                                      pb.data() + (vb * n_strips + js) * pb_strip, acc);
+                           for_each_item_run(
+                               n, v, j0, std::min(nr, width - j0),
+                               [&](std::int64_t item, std::int64_t col, std::int64_t j,
+                                   std::int64_t run) {
+                                 write_tile(acc + j, nr, rows, run, d.beta,
+                                            c + item * d.stride_c + i0 * d.ldc + col, d.ldc);
+                               });
                          }
                        });
 }

@@ -43,8 +43,9 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, co
                              const float* b, float* c);
 
 /// True when `desc` is small enough that the packed backend routes it to the
-/// reference loop nest instead of paying the packing overhead. Exposed so
-/// tests can pick shapes on both sides of the threshold.
+/// reference loop nest instead of paying the packing overhead, or when
+/// beta != 0 and each item is narrower than 8 columns. Depends only on the
+/// per-item descriptor. Exposed so tests can pick shapes on both sides.
 bool packed_gemm_uses_fallback(const GemmDesc& desc);
 
 // Per-ISA kernels, defined in gemm_kernels_avx2.cpp / gemm_kernels_avx512.cpp

@@ -297,6 +297,13 @@ TEST(GoldenDigest, ServedGenerateBatch) {
   first_down.n = 64;
   first_down.k = (1 + served_network().z_dim) * 16;
   ASSERT_FALSE(tensor::detail::packed_gemm_uses_fallback(first_down));
+  // Innermost down-conv: 128 output channels over a 1x1 map, (64 + z_dim) * 4 * 4
+  // taps. One column per item; the batch folds into the columns of one GEMM.
+  tensor::GemmDesc down3;
+  down3.m = 128;
+  down3.n = 1;
+  down3.k = (64 + served_network().z_dim) * 16;
+  ASSERT_FALSE(tensor::detail::packed_gemm_uses_fallback(down3));
   EXPECT_EQ(served_digest(4), 0x36d809805462004aULL);
 }
 

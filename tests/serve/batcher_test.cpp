@@ -183,5 +183,50 @@ TEST_F(BatcherTest, SubmitAfterCloseCountsOneShedInBothCounters) {
   EXPECT_NE(metrics.to_json().find("\"shed\": 1,"), std::string::npos) << metrics.to_json();
 }
 
+// The same coalescing check at the served geometry (side 16, 16 base
+// channels, seeded untrained weights), where the convolutions run the packed
+// GEMM: the batch of 8 folds each shared-weight GEMM's items into columns,
+// while the request alone runs every GEMM one item wide.
+TEST(BatcherServedGeometryTest, CoalescedBatchOfEightMatchesRequestAlone) {
+  models::NetworkConfig network;
+  network.array_size = 16;
+  network.base_channels = 16;
+  network.z_dim = 8;
+  auto model = core::make_model(core::ModelKind::CvaeGan, network, /*seed=*/7);
+  InferenceEngine engine(*model);
+  constexpr std::size_t kElems = 16 * 16;
+  constexpr std::uint64_t kSeed = 42;
+
+  std::vector<std::vector<float>> rows;
+  std::vector<std::vector<float>> expected;
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::vector<float> row(kElems);
+    flashgen::Rng row_rng(100 + i);
+    for (float& v : row) v = -1.0f + 0.25f * static_cast<float>(row_rng.uniform_int(8));
+    Tensor pl = Tensor::from_data(Shape({1, 1, 16, 16}), row);
+    std::vector<flashgen::Rng> rngs = {flashgen::Rng::from_stream(kSeed, i)};
+    std::vector<float> out(kElems);
+    engine.generate_into(pl, rngs, out);
+    rows.push_back(std::move(row));
+    expected.push_back(std::move(out));
+  }
+
+  BatchPolicy policy;
+  policy.max_batch_size = 8;
+  policy.max_wait_micros = 200000;  // ample: all 8 must land in one batch
+  RequestBatcher batcher(engine, Shape({1, 16, 16}), policy);
+  const auto batches_before = engine.stats().batches;
+  std::vector<ResponseFuture> futures;
+  for (std::size_t i = 0; i < 8; ++i) futures.push_back(batcher.submit(rows[i], kSeed, i));
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::vector<float> got = futures[i].get();
+    ASSERT_EQ(got.size(), expected[i].size());
+    for (std::size_t j = 0; j < got.size(); ++j)
+      ASSERT_EQ(got[j], expected[i][j]) << "request " << i << " element " << j;
+  }
+  batcher.drain();
+  EXPECT_EQ(engine.stats().batches, batches_before + 1);
+}
+
 }  // namespace
 }  // namespace flashgen::serve

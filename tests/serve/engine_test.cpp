@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/stats.h"
+#include "core/experiment.h"
 #include "data/dataset.h"
 #include "models/cgan.h"
 #include "models/cvae_gan.h"
@@ -135,6 +137,33 @@ TEST_F(EngineTest, RejectsMismatchedStreamCount) {
   const Tensor pl = eval_batch(4);
   std::vector<flashgen::Rng> rngs(3, flashgen::Rng(0));
   EXPECT_THROW((void)engine.sample_rows(pl, rngs), Error);
+}
+
+// A wrong-sized output span is rejected before the forward pass, in the plain
+// and the conditioned flavor: no batch runs and no rows are counted, in the
+// engine's stats or in serve.rows_inferred.
+TEST_F(EngineTest, MismatchedOutputSpanThrowsBeforeCountingRows) {
+  auto model = core::make_model(core::ModelKind::Temporal, tiny_network_config(), /*seed=*/7);
+  InferenceEngine engine(*model);
+  const Tensor pl = eval_batch(2);
+  std::vector<flashgen::Rng> rngs = {flashgen::Rng::from_stream(5, 0),
+                                     flashgen::Rng::from_stream(5, 1)};
+  const std::vector<data::Condition> conditions = {{1000.0, 0.0}, {4000.0, 500.0}};
+  const stats::Counter& rows_total = stats::counter("serve.rows_inferred");
+  const std::uint64_t rows_before = rows_total.value();
+
+  std::vector<float> out(static_cast<std::size_t>(pl.numel()) - 1);
+  EXPECT_THROW(engine.generate_into(pl, rngs, out), Error);
+  EXPECT_THROW(engine.generate_into_at(pl, conditions, rngs, out), Error);
+  EXPECT_EQ(engine.stats().batches, 0u);
+  EXPECT_EQ(engine.stats().rows, 0u);
+  EXPECT_EQ(rows_total.value(), rows_before);
+
+  out.resize(static_cast<std::size_t>(pl.numel()));
+  engine.generate_into_at(pl, conditions, rngs, out);
+  EXPECT_EQ(engine.stats().batches, 1u);
+  EXPECT_EQ(engine.stats().rows, 2u);
+  EXPECT_EQ(rows_total.value(), rows_before + 2);
 }
 
 // Registry checkpoint round-trip: a model restored from disk must serve the

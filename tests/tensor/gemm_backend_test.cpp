@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -237,41 +238,75 @@ TEST_P(GemmBackendConformance, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Batched-vs-looped bit identity: one strided-batched call (including a
-// shared, stride-0 A and non-tight output strides) must equal running each
-// item alone — the property the serve-path batch coalescing leans on.
+// Bitwise equality that also holds for NaN cells left untouched in padding.
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Batched-vs-looped bit identity: one strided-batched call (shared, stride-0
+// or per-item A, either transpose, non-tight leading and batch strides) must
+// equal running each item alone — the property the serve-path batch
+// coalescing leans on. Items of 1, 4 and 7 columns cover the shared-A batches
+// the packed backend folds into one tile's columns; at beta == 0, C starts
+// NaN-poisoned and must come back finite.
 TEST_P(GemmBackendConformance, BatchedCallMatchesLoopedCallsBitwise) {
   flashgen::Rng rng(77);
   for (const bool shared_a : {true, false}) {
-    GemmDesc d;
-    d.m = 24;
-    d.n = 56;
-    d.k = 40;
-    d.alpha = 1.0f;
-    d.beta = 0.0f;
-    d.lda = d.k;
-    d.ldb = d.n + 3;
-    d.ldc = d.n + 1;
-    d.batch_count = 4;
-    d.stride_a = shared_a ? 0 : d.m * d.lda;
-    d.stride_b = d.k * d.ldb;
-    d.stride_c = d.m * d.ldc;
-    std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
-    fill_normal(a, rng);
-    fill_normal(b, rng);
-    fill_normal(c0, rng);
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        for (const int n : {1, 4, 7, 56}) {
+          for (const int batch : {1, 3, 8}) {
+            for (const float beta : {0.0f, 1.0f, 0.5f}) {
+              GemmDesc d;
+              d.trans_a = ta;
+              d.trans_b = tb;
+              d.m = 37;
+              d.n = n;
+              d.k = 450;  // m * k clears the packed threshold even at n = 1
+              d.alpha = 1.0f;
+              d.beta = beta;
+              d.lda = (ta ? d.m : d.k) + 1;
+              d.ldb = (tb ? d.k : d.n) + 3;
+              d.ldc = d.n + 2;
+              d.batch_count = batch;
+              d.stride_a = shared_a ? 0 : (ta ? d.k : d.m) * d.lda + 1;
+              d.stride_b = (tb ? d.n : d.k) * d.ldb + 2;
+              d.stride_c = d.m * d.ldc + 5;
+              std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
+              fill_normal(a, rng);
+              fill_normal(b, rng);
+              if (beta == 0.0f) {
+                std::fill(c0.begin(), c0.end(), std::numeric_limits<float>::quiet_NaN());
+              } else {
+                fill_normal(c0, rng);
+              }
 
-    std::vector<float> batched = c0;
-    sgemm_strided_batched(d, a.data(), b.data(), batched.data());
+              std::vector<float> batched = c0;
+              sgemm_strided_batched(d, a.data(), b.data(), batched.data());
 
-    std::vector<float> looped = c0;
-    GemmDesc single = d;
-    single.batch_count = 1;
-    single.stride_a = single.stride_b = single.stride_c = 0;
-    for (std::int64_t s = 0; s < d.batch_count; ++s)
-      sgemm_strided_batched(single, a.data() + s * d.stride_a, b.data() + s * d.stride_b,
-                            looped.data() + s * d.stride_c);
-    EXPECT_EQ(batched, looped) << "shared_a=" << shared_a;
+              std::vector<float> looped = c0;
+              GemmDesc single = d;
+              single.batch_count = 1;
+              single.stride_a = single.stride_b = single.stride_c = 0;
+              for (std::int64_t s = 0; s < d.batch_count; ++s)
+                sgemm_strided_batched(single, a.data() + s * d.stride_a,
+                                      b.data() + s * d.stride_b, looped.data() + s * d.stride_c);
+              const std::string where = "shared_a=" + std::to_string(shared_a) +
+                                        " ta=" + std::to_string(ta) + " tb=" + std::to_string(tb) +
+                                        " n=" + std::to_string(n) + " batch=" +
+                                        std::to_string(batch) + " beta=" + std::to_string(beta);
+              EXPECT_TRUE(same_bits(batched, looped)) << where;
+              if (beta != 0.0f) continue;
+              for (std::int64_t s = 0; s < d.batch_count; ++s)
+                for (std::int64_t i = 0; i < d.m; ++i)
+                  for (std::int64_t j = 0; j < d.n; ++j)
+                    ASSERT_TRUE(std::isfinite(batched[s * d.stride_c + i * d.ldc + j]))
+                        << where << " NaN leaked at item " << s << " (" << i << "," << j << ")";
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -315,8 +350,9 @@ TEST(GemmBackendRegistry, UnknownNameThrowsAndKeepsSelection) {
 }
 
 // Every packed kernel the host can run must produce the same bits: each C
-// element is one full-k FMA chain regardless of tile shape or vector width,
-// which is what lets the backend pick the widest ISA without changing results.
+// element is one full-k FMA chain regardless of tile shape, vector width or
+// the tile column a folded batch puts it in, which is what lets the backend
+// pick the widest ISA without changing results.
 TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
   const auto kernels = detail::packed_kernels();
   if (kernels.empty()) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
@@ -342,9 +378,20 @@ TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
   shared_a.batch_count = 3;
   shared_a.stride_b = shared_a.k * shared_a.ldb;
   shared_a.stride_c = shared_a.m * shared_a.ldc;
+  // The innermost down-conv at side 16: eight 1-column items folded into
+  // the columns of one tile.
+  GemmDesc folded = shared_a;
+  folded.m = 128;
+  folded.n = 1;
+  folded.k = 1152;
+  folded.lda = folded.k;
+  folded.ldb = folded.ldc = 1;
+  folded.batch_count = 8;
+  folded.stride_b = folded.k;
+  folded.stride_c = folded.m;
 
   flashgen::Rng rng(2718);
-  for (const GemmDesc& d : {plain, shared_a}) {
+  for (const GemmDesc& d : {plain, shared_a, folded}) {
     ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
     std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
     fill_normal(a, rng);
@@ -361,6 +408,36 @@ TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
                           << " at batch_count=" << d.batch_count;
     }
   }
+}
+
+// The packed backend's fallback rule at the served U-Net's innermost layers
+// (side 16, 16 base channels, z_dim 8). At beta == 0 the per-item column
+// count does not matter: down2, down3, up0 and up1 run packed. At beta != 0
+// items narrower than 8 columns keep the reference loop, whose chain starts
+// at C: the conv-transpose dX GEMM of up1 (beta = 1, 2x2 input) stays there.
+TEST(GemmPackedKernels, DeepUnetLayersTakeThePackedPathAtBetaZero) {
+  const struct {
+    const char* layer;
+    bool trans_a;
+    int m, n, k;
+  } deep[] = {{"down2", false, 64, 4, 640},
+              {"down3", false, 128, 1, 1152},
+              {"up0", true, 1024, 1, 128},
+              {"up1", true, 512, 4, 128}};
+  for (const auto& layer : deep) {
+    GemmDesc d;
+    d.trans_a = layer.trans_a;
+    d.m = layer.m;
+    d.n = layer.n;
+    d.k = layer.k;
+    EXPECT_FALSE(detail::packed_gemm_uses_fallback(d)) << layer.layer;
+  }
+  GemmDesc up1_dx;
+  up1_dx.m = 128;
+  up1_dx.n = 4;
+  up1_dx.k = 512;
+  up1_dx.beta = 1.0f;
+  EXPECT_TRUE(detail::packed_gemm_uses_fallback(up1_dx));
 }
 
 }  // namespace
