@@ -1,5 +1,6 @@
 // Golden digests: FNV-1a hashes of trained weights, loss histories,
-// checkpoint file bytes and generated batches, pinned as constants.
+// checkpoint file bytes, generated batches, a read-threshold report and
+// soft-read LLR tables, pinned as constants.
 //
 // The determinism tests elsewhere compare two runs of the same build; these
 // pin the bits across commits, so a refactor of the trainers, the model
@@ -30,11 +31,15 @@
 #include "data/dataset.h"
 #include "dist/comm.h"
 #include "dist/trainer.h"
+#include "eval/llr.h"
+#include "flash/channel.h"
 #include "models/generative_model.h"
 #include "pipeline/prefetch.h"
 #include "pipeline/sample_source.h"
 #include "serve/engine.h"
 #include "tensor/gemm_packed.h"
+#include "thresholds/model_sampler.h"
+#include "thresholds/optimizer.h"
 
 namespace flashgen {
 namespace {
@@ -311,6 +316,50 @@ TEST(GoldenDigest, ServedGenerateBatch) {
 // per-sample path, no batch to fold into columns).
 TEST(GoldenDigest, ServedGenerateSingleRow) {
   EXPECT_EQ(served_digest(1), 0xdebd4afffdd9c262ULL);
+}
+
+// A read-threshold ladder sampled in process from the seeded, untrained
+// side-8 cVAE-GAN conditioned on (PE, retention): pins the conditioned
+// sampling path plus histogram accumulation, crossing candidates and the
+// coordinate-descent refinement the threshold service serves.
+TEST(GoldenDigest, ThresholdReportFromModelSampler) {
+  auto model = core::make_model(ModelKind::Temporal, tiny_network_config(), /*seed=*/7);
+  thresholds::ModelSampler sampler(*model);
+  thresholds::OptimizerConfig config;
+  config.side = tiny_network_config().array_size;
+  config.batch_rows = 4;
+  config.waves = 2;
+  thresholds::ThresholdOptimizer optimizer(sampler, config);
+  const thresholds::ThresholdReport report = optimizer.optimize({6000.0, 250.0});
+  ASSERT_FALSE(report.from_cache);
+  Fnv1a h;
+  h.bytes(report.thresholds.data(), sizeof report.thresholds);
+  h.bytes(report.page_ber.data(), sizeof report.page_ber);
+  h.bytes(&report.level_error_rate, sizeof report.level_error_rate);
+  h.bytes(&report.mutual_information_bits, sizeof report.mutual_information_bits);
+  h.bytes(&report.sample_cells, sizeof report.sample_cells);
+  EXPECT_EQ(h.value(), 0x55c62d03508b0c8dULL);
+}
+
+// Per-page soft-read LLR tables built from a seeded simulated-channel
+// characterization (four 32x32 blocks at 4000 P/E).
+TEST(GoldenDigest, LlrTablesFromSeededChannel) {
+  flash::FlashChannelConfig channel_config;
+  channel_config.rows = 32;
+  channel_config.cols = 32;
+  const flash::FlashChannel channel(channel_config);
+  flashgen::Rng rng(7);
+  eval::ConditionalHistograms hists;
+  for (int block = 0; block < 4; ++block) {
+    const flash::BlockObservation obs = channel.run_experiment(4000.0, rng);
+    hists.add_grids(obs.program_levels, obs.voltages);
+  }
+  Fnv1a h;
+  for (flash::Page page : {flash::Page::Lower, flash::Page::Middle, flash::Page::Upper}) {
+    const eval::LlrTable table(hists, page);
+    h.bytes(table.values().data(), table.values().size() * sizeof(double));
+  }
+  EXPECT_EQ(h.value(), 0xea946d170b65c19fULL);
 }
 
 }  // namespace
