@@ -149,7 +149,6 @@ void RequestBatcher::submit_async(std::vector<float> program_levels, std::uint64
     const bool full =
         policy_.max_queue_depth > 0 && queue_.size() + in_flight_ >= policy_.max_queue_depth;
     if (closed_ || full) {
-      if (metrics_ != nullptr) metrics_->record_shed();
       static stats::Counter& shed_total = stats::counter("serve.shed");
       shed_total.add();
       if (closed_) throw Overloaded("server is draining; not accepting new requests");
@@ -260,7 +259,6 @@ void RequestBatcher::execute_batch(std::vector<Pending> batch) {
     live.reserve(batch.size());
     for (Pending& p : batch) {
       if (now > p.deadline) {
-        if (metrics_ != nullptr) metrics_->record_deadline_exceeded();
         static stats::Counter& expired_total = stats::counter("serve.deadline_exceeded");
         expired_total.add();
         p.done({}, std::make_exception_ptr(DeadlineExceeded("deadline exceeded while queued")));
@@ -329,7 +327,6 @@ void RequestBatcher::execute_batch(std::vector<Pending> batch) {
     }
   } catch (...) {
     consecutive_errors_.fetch_add(1);
-    if (metrics_ != nullptr) metrics_->record_error();
     for (Pending& p : batch) p.done({}, std::current_exception());
   }
 }

@@ -98,7 +98,6 @@ void ReplicaDispatcher::submit_async(std::vector<float> program_levels, std::uin
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t best = pick_replica_locked();
   if (best == slots_.size()) {
-    if (metrics_ != nullptr) metrics_->record_shed();
     static stats::Counter& shed_total = stats::counter("serve.shed");
     shed_total.add();
     throw Overloaded("no healthy replicas (all quarantined); retry after restart");
@@ -229,7 +228,6 @@ void ReplicaDispatcher::tick() {
       // (abort_with below joins the executor and can take a while).
       quarantines_.fetch_add(1);
     }
-    if (metrics_ != nullptr) metrics_->record_replica_quarantine();
     static stats::Counter& quarantine_total = stats::counter("serve.replica_quarantines");
     quarantine_total.add();
     std::ostringstream os;
@@ -259,7 +257,6 @@ void ReplicaDispatcher::tick() {
       slots_[i].quarantined = false;
     }
     restarts_.fetch_add(1);
-    if (metrics_ != nullptr) metrics_->record_replica_restart();
     static stats::Counter& restart_total = stats::counter("serve.replica_restarts");
     restart_total.add();
   }

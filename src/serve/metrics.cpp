@@ -21,6 +21,12 @@ int bucket_for(std::uint64_t micros) {
 double safe_ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
+
+// Serve events counted only in the stats:: registry, as "serve.<key>"; the
+// JSON reports them under "<key>" in this order.
+constexpr const char* kEventCounters[] = {
+    "shed",         "deadline_exceeded",   "accept_errors",   "rate_limited",
+    "conn_evicted", "replica_quarantines", "replica_restarts"};
 }  // namespace
 
 void LatencyHistogram::record(std::uint64_t micros) {
@@ -75,41 +81,6 @@ void ServeMetrics::record_error() {
   ++errors_;
 }
 
-void ServeMetrics::record_shed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++shed_;
-}
-
-void ServeMetrics::record_deadline_exceeded() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++deadline_exceeded_;
-}
-
-void ServeMetrics::record_accept_error() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++accept_errors_;
-}
-
-void ServeMetrics::record_rate_limited() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++rate_limited_;
-}
-
-void ServeMetrics::record_conn_evicted() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++conn_evicted_;
-}
-
-void ServeMetrics::record_replica_quarantine() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++replica_quarantines_;
-}
-
-void ServeMetrics::record_replica_restart() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++replica_restarts_;
-}
-
 void ServeMetrics::record_stage(const std::string& stage, std::uint64_t micros) {
   std::lock_guard<std::mutex> lock(mutex_);
   stages_[stage].record(micros);
@@ -126,13 +97,9 @@ std::string ServeMetrics::to_json(double elapsed_seconds) const {
   out << "{";
   out << "\"requests\": " << requests_;
   out << ", \"errors\": " << errors_;
-  out << ", \"shed\": " << shed_;
-  out << ", \"deadline_exceeded\": " << deadline_exceeded_;
-  out << ", \"accept_errors\": " << accept_errors_;
-  out << ", \"rate_limited\": " << rate_limited_;
-  out << ", \"conn_evicted\": " << conn_evicted_;
-  out << ", \"replica_quarantines\": " << replica_quarantines_;
-  out << ", \"replica_restarts\": " << replica_restarts_;
+  for (const char* key : kEventCounters) {
+    out << ", \"" << key << "\": " << stats::counter(std::string("serve.") + key).value();
+  }
   out << ", \"batches\": " << batches_;
   out << ", \"batched_rows\": " << batched_rows_;
   out << ", \"max_batch_size\": " << max_batch_;

@@ -1,11 +1,19 @@
 // Serving metrics: latency histograms plus queue/throughput counters.
 //
 // One ServeMetrics instance is shared by the batcher (queue depth, batch
-// sizes, per-stage timings) and the server front-end (request latency). All
-// methods are thread-safe; reads produce a consistent snapshot under the same
-// mutex the writers take, so `to_json()` can be called while traffic is in
-// flight — including before the first request, where every emitted number is
-// still finite (no NaN/Inf from empty windows).
+// sizes, per-stage timings) and the server front-end (request latency and
+// errors). All methods are thread-safe; reads produce a consistent snapshot
+// under the same mutex the writers take, so `to_json()` can be called while
+// traffic is in flight — including before the first request, where every
+// emitted number is still finite (no NaN/Inf from empty windows).
+//
+// The serve event counters "shed", "deadline_exceeded", "accept_errors",
+// "rate_limited", "conn_evicted", "replica_quarantines" and
+// "replica_restarts" are not kept here: `to_json()` reads them from the
+// process-wide stats:: registry ("serve.<key>"), which the site that refuses
+// or evicts bumps once per event. They are therefore process-wide; in a
+// scrape taken while no event is being counted, each equals its
+// "process.counters" entry.
 #pragma once
 
 #include <array>
@@ -44,23 +52,8 @@ class ServeMetrics {
   void record_request(std::uint64_t latency_micros);
   void record_batch(std::size_t batch_size);
   void record_enqueue(std::size_t queue_depth_after);
+  /// Request answered with kError (counted by the server, once per frame).
   void record_error();
-  /// Request rejected at admission (queue full or draining) with kOverloaded.
-  void record_shed();
-  /// Request failed because its deadline expired before execution.
-  void record_deadline_exceeded();
-  /// accept() failed with a transient errno (ECONNABORTED, EMFILE, ...); the
-  /// listener kept running. Reported as "accept_errors".
-  void record_accept_error();
-  /// Request rejected by per-tenant token-bucket admission with kRateLimited.
-  void record_rate_limited();
-  /// Connection force-closed by hygiene (idle timeout, pipeline cap, or
-  /// buffered-bytes cap). Reported as "conn_evicted".
-  void record_conn_evicted();
-  /// Supervisor quarantined a wedged/erroring replica.
-  void record_replica_quarantine();
-  /// Supervisor restarted a quarantined replica (fresh engine + batcher).
-  void record_replica_restart();
   /// Latency sample for one named pipeline stage (e.g. "decode",
   /// "queue_wait", "infer", "write"). Stages appear in the JSON under
   /// "stages" keyed by name; names should be string literals from a small
@@ -83,13 +76,6 @@ class ServeMetrics {
   std::map<std::string, LatencyHistogram> stages_;
   std::uint64_t requests_ = 0;
   std::uint64_t errors_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t deadline_exceeded_ = 0;
-  std::uint64_t accept_errors_ = 0;
-  std::uint64_t rate_limited_ = 0;
-  std::uint64_t conn_evicted_ = 0;
-  std::uint64_t replica_quarantines_ = 0;
-  std::uint64_t replica_restarts_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t batched_rows_ = 0;
   std::size_t max_batch_ = 0;

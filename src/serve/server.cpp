@@ -275,7 +275,6 @@ void Server::schedule_idle_check(std::uint64_t conn_id,
 }
 
 void Server::evict_conn(Conn& conn, const std::string& reason, bool send_error) {
-  metrics_.record_conn_evicted();
   static stats::Counter& evicted = stats::counter("serve.conn_evicted");
   evicted.add();
   if (send_error) {
@@ -335,7 +334,6 @@ void Server::on_listener_ready() {
     // ENOBUFS/ENOMEM, EPROTO. Exiting here would silently stop the server
     // from ever accepting again while existing connections keep it looking
     // alive; count the error and keep accepting.
-    metrics_.record_accept_error();
     static stats::Counter& accept_errors = stats::counter("serve.accept_errors");
     accept_errors.add();
     if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
@@ -382,6 +380,75 @@ void Server::on_conn_readable(Conn& conn) {
   if (!closed && conns_.count(conn.id) != 0) flush_conn(conn);
 }
 
+Server::Slot& Server::slot_at(Conn& conn, std::uint64_t seq) {
+  return conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
+}
+
+void Server::answer(Conn& conn, std::uint64_t seq, const std::vector<std::uint8_t>& payload) {
+  Slot& slot = slot_at(conn, seq);
+  slot.frame = framing::encode_frame(payload);
+  slot.ready = true;
+}
+
+std::vector<std::uint8_t> Server::failure_payload(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(std::move(error));
+  } catch (const Overloaded& e) {
+    // A shed: the component that refused the request has already counted it.
+    return encode_overloaded(e.what());
+  } catch (const std::exception& e) {
+    metrics_.record_error();
+    return encode_error(e.what());
+  }
+}
+
+template <typename Submit, typename Encode>
+void Server::submit_request(Conn& conn, std::uint64_t seq, std::uint32_t tenant_id,
+                            Submit submit, Encode encode) {
+  metrics_.record_stage("decode", micros_since(slot_at(conn, seq).t0));
+  // Per-tenant token-bucket admission, ahead of the fleet and threshold
+  // queues: an over-rate tenant drains only its own bucket and gets a typed
+  // kRateLimited with a retry hint; everyone else's admission capacity is
+  // untouched. Disabled (default) this is a strict no-op.
+  const TenantGovernor::Decision admission = governor_.admit(tenant_id);
+  if (!admission.admitted) {
+    static stats::Counter& rate_limited_total = stats::counter("serve.rate_limited");
+    rate_limited_total.add();
+    std::ostringstream os;
+    os << "tenant " << tenant_id << " over admission rate; retry after "
+       << admission.retry_after_micros << "us";
+    answer(conn, seq, encode_rate_limited(admission.retry_after_micros, os.str()));
+    return;
+  }
+  // Mark the slot active *before* submit: the completion can fire on the
+  // worker thread immediately.
+  slot_at(conn, seq).counts_as_active = true;
+  ++active_requests_;
+  const std::uint64_t conn_id = conn.id;
+  const auto t_submit = std::chrono::steady_clock::now();
+  try {
+    submit([this, conn_id, seq, t_submit, encode](auto&& result, std::exception_ptr error) {
+      // Worker thread: encode here (parallel with the loop), then hand the
+      // payload over through the completion queue.
+      std::vector<std::uint8_t> payload =
+          error ? failure_payload(std::move(error))
+                : encode(std::forward<decltype(result)>(result));
+      {
+        std::lock_guard<std::mutex> lock(completions_mutex_);
+        completions_.push_back(
+            CompletionMsg{conn_id, seq, std::move(payload), micros_since(t_submit)});
+      }
+      wake_loop();
+    });
+  } catch (...) {
+    // Refused synchronously: the completion will never fire, so the active
+    // count unwinds here and dispatch_frame answers.
+    --active_requests_;
+    slot_at(conn, seq).counts_as_active = false;
+    throw;
+  }
+}
+
 void Server::dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload) {
   FG_TRACE_SPAN("serve.request", "serve");
   // Pipeline cap: a client may pipeline freely up to the bound; the frame
@@ -400,180 +467,60 @@ void Server::dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload) {
   conn.slots.back().t0 = std::chrono::steady_clock::now();
   conn.last_activity = conn.slots.back().t0;  // a complete frame is progress
 
-  // Helper: resolve the slot we just created (dispatch never re-enters).
-  const auto slot_ready = [&](std::vector<std::uint8_t> response_payload,
-                              bool counts_as_active) {
-    Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-    slot.frame = framing::encode_frame(response_payload);
-    slot.ready = true;
-    slot.counts_as_active = counts_as_active;
-  };
-
   try {
     const MessageType type = peek_type(payload);
     if (type == MessageType::kGenerate || type == MessageType::kGenerateV2) {
-      const auto t0 = conn.slots.back().t0;
       GenerateRequest request = [&] {
         FG_TRACE_SPAN("serve.decode", "serve");
         return decode_generate_request(payload);
       }();
-      auto& dispatcher = [&]() -> ReplicaDispatcher& {
-        auto it = dispatchers_.find(request.model);
-        FG_CHECK(it != dispatchers_.end(), "unknown model: " << request.model);
-        return *it->second;
-      }();
-      metrics_.record_stage("decode", micros_since(t0));
-      // Per-tenant token-bucket admission, ahead of the fleet queues: an
-      // over-rate tenant drains only its own bucket and gets a typed
-      // kRateLimited with a retry hint; everyone else's admission capacity
-      // is untouched. Disabled (default) this is a strict no-op.
-      const TenantGovernor::Decision admission = governor_.admit(request.tenant_id);
-      if (!admission.admitted) {
-        metrics_.record_rate_limited();
-        static stats::Counter& rate_limited_total = stats::counter("serve.rate_limited");
-        rate_limited_total.add();
-        std::ostringstream os;
-        os << "tenant " << request.tenant_id << " over admission rate; retry after "
-           << admission.retry_after_micros << "us";
-        slot_ready(encode_rate_limited(admission.retry_after_micros, os.str()),
-                   /*counts_as_active=*/false);
-        return;
-      }
-      // Mark the slot active *before* submit: the completion can fire on the
-      // executor thread immediately.
-      {
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = true;
-      }
-      ++active_requests_;
-      const std::uint32_t side = request.side;
-      const std::uint64_t conn_id = conn.id;
-      const auto t_submit = std::chrono::steady_clock::now();
-      try {
-        dispatcher.submit_async(
-            std::move(request.program_levels), request.seed, request.stream,
-            request.deadline_micros,
-            [this, conn_id, seq, side, t_submit](std::vector<float>&& voltages,
-                                                 std::exception_ptr error) {
-              // Executor thread: encode here (parallel with the loop), then
-              // hand the payload over through the completion queue.
-              std::vector<std::uint8_t> response_payload;
-              if (!error) {
-                GenerateResponse response;
-                response.side = side;
-                response.voltages = std::move(voltages);
-                response_payload = encode_generate_response(response);
-              } else {
-                try {
-                  std::rethrow_exception(error);
-                } catch (const Overloaded& e) {
-                  metrics_.record_shed();
-                  response_payload = encode_overloaded(e.what());
-                } catch (const Error& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                } catch (const std::exception& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                }
-              }
-              {
-                std::lock_guard<std::mutex> lock(completions_mutex_);
-                completions_.push_back(CompletionMsg{conn_id, seq, std::move(response_payload),
-                                                     micros_since(t_submit)});
-              }
-              wake_loop();
-            });
-      } catch (...) {
-        // Admission rejected synchronously: the completion will never fire,
-        // so the active count unwinds here and the catch below answers.
-        --active_requests_;
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = false;
-        throw;
-      }
+      const auto it = dispatchers_.find(request.model);
+      FG_CHECK(it != dispatchers_.end(), "unknown model: " << request.model);
+      ReplicaDispatcher& dispatcher = *it->second;
+      submit_request(
+          conn, seq, request.tenant_id,
+          [&](auto done) {
+            dispatcher.submit_async(std::move(request.program_levels), request.seed,
+                                    request.stream, request.deadline_micros, std::move(done));
+          },
+          [side = request.side](std::vector<float>&& voltages) {
+            GenerateResponse response;
+            response.side = side;
+            response.voltages = std::move(voltages);
+            return encode_generate_response(response);
+          });
     } else if (type == MessageType::kThresholdQuery) {
-      const auto t0 = conn.slots.back().t0;
       const ThresholdQuery query = [&] {
         FG_TRACE_SPAN("serve.decode", "serve");
         return decode_threshold_query(payload);
       }();
-      auto& service = [&]() -> ThresholdService& {
-        auto it = threshold_services_.find(query.model);
-        if (it == threshold_services_.end()) {
-          FG_CHECK(dispatchers_.find(query.model) != dispatchers_.end(),
-                   "unknown model: " << query.model);
-          FG_CHECK(false, "model " << query.model
-                                   << " is not condition-aware; threshold queries need a "
-                                      "(PE, retention)-conditioned model");
-        }
-        return *it->second;
-      }();
-      metrics_.record_stage("decode", micros_since(t0));
+      const auto it = threshold_services_.find(query.model);
+      if (it == threshold_services_.end()) {
+        FG_CHECK(dispatchers_.find(query.model) != dispatchers_.end(),
+                 "unknown model: " << query.model);
+        FG_CHECK(false, "model " << query.model
+                                 << " is not condition-aware; threshold queries need a "
+                                    "(PE, retention)-conditioned model");
+      }
       // Threshold queries share the generate path's admission layers: the
-      // per-tenant token bucket here, then the service's own bounded queue
-      // (Overloaded), then the fleet queues its sampling rides on.
-      const TenantGovernor::Decision admission = governor_.admit(query.tenant_id);
-      if (!admission.admitted) {
-        metrics_.record_rate_limited();
-        static stats::Counter& rate_limited_total = stats::counter("serve.rate_limited");
-        rate_limited_total.add();
-        std::ostringstream os;
-        os << "tenant " << query.tenant_id << " over admission rate; retry after "
-           << admission.retry_after_micros << "us";
-        slot_ready(encode_rate_limited(admission.retry_after_micros, os.str()),
-                   /*counts_as_active=*/false);
-        return;
-      }
-      static stats::Counter& threshold_queries_total = stats::counter("serve.threshold_queries");
-      threshold_queries_total.add();
-      {
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = true;
-      }
-      ++active_requests_;
-      const std::uint64_t conn_id = conn.id;
-      const auto t_submit = std::chrono::steady_clock::now();
-      try {
-        service.submit_async(
-            {query.pe_cycles, query.retention_hours},
-            [this, conn_id, seq, t_submit](thresholds::ThresholdReport report,
-                                           std::exception_ptr error) {
-              // Service worker thread: encode here, hand over via the queue.
-              std::vector<std::uint8_t> response_payload;
-              if (!error) {
-                response_payload = encode_threshold_response(to_response(report));
-              } else {
-                try {
-                  std::rethrow_exception(error);
-                } catch (const Overloaded& e) {
-                  metrics_.record_shed();
-                  response_payload = encode_overloaded(e.what());
-                } catch (const Error& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                } catch (const std::exception& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                }
-              }
-              {
-                std::lock_guard<std::mutex> lock(completions_mutex_);
-                completions_.push_back(CompletionMsg{conn_id, seq, std::move(response_payload),
-                                                     micros_since(t_submit)});
-              }
-              wake_loop();
-            });
-      } catch (...) {
-        --active_requests_;
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = false;
-        throw;
-      }
+      // per-tenant token bucket, then the service's own bounded queue, then
+      // the fleet queues its sampling rides on.
+      ThresholdService& service = *it->second;
+      submit_request(
+          conn, seq, query.tenant_id,
+          [&](auto done) {
+            static stats::Counter& threshold_queries_total =
+                stats::counter("serve.threshold_queries");
+            threshold_queries_total.add();
+            service.submit_async({query.pe_cycles, query.retention_hours}, std::move(done));
+          },
+          [](const thresholds::ThresholdReport& report) {
+            return encode_threshold_response(to_response(report));
+          });
     } else if (type == MessageType::kStats) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
-      slot_ready(encode_stats_response(metrics_.to_json(elapsed)), /*counts_as_active=*/false);
+      answer(conn, seq, encode_stats_response(metrics_.to_json(elapsed)));
     } else if (type == MessageType::kHealth) {
       HealthStatus status = HealthStatus::kReady;
       if (draining_.load()) {
@@ -586,15 +533,12 @@ void Server::dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload) {
           }
         }
       }
-      slot_ready(encode_health_response(status), /*counts_as_active=*/false);
+      answer(conn, seq, encode_health_response(status));
     } else {
       FG_CHECK(false, "unexpected message type " << static_cast<int>(type));
     }
-  } catch (const Overloaded& e) {
-    slot_ready(encode_overloaded(e.what()), /*counts_as_active=*/false);
-  } catch (const Error& e) {
-    metrics_.record_error();
-    slot_ready(encode_error(e.what()), /*counts_as_active=*/false);
+  } catch (const std::exception&) {
+    answer(conn, seq, failure_payload(std::current_exception()));
   }
 }
 
@@ -613,14 +557,11 @@ void Server::drain_completions() {
 
 void Server::finish_slot(Conn& conn, std::uint64_t seq, std::vector<std::uint8_t> payload,
                          std::uint64_t infer_wait_micros) {
-  const std::size_t index = static_cast<std::size_t>(seq - conn.head_seq);
-  FG_CHECK(index < conn.slots.size(), "serve: completion for unknown slot " << seq);
-  Slot& slot = conn.slots[index];
-  slot.frame = framing::encode_frame(payload);
-  slot.ready = true;
+  FG_CHECK(seq - conn.head_seq < conn.slots.size(), "serve: completion for unknown slot " << seq);
+  answer(conn, seq, payload);
   // Queueing delay plus batched inference, as the request saw it.
   metrics_.record_stage("infer_wait", infer_wait_micros);
-  metrics_.record_request(micros_since(slot.t0));
+  metrics_.record_request(micros_since(slot_at(conn, seq).t0));
   flush_conn(conn);
 }
 
@@ -714,38 +655,28 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-GenerateResponse Client::generate(const GenerateRequest& request) {
-  write_frame(fd_, encode_generate_request(request));
+std::vector<std::uint8_t> Client::round_trip(const std::vector<std::uint8_t>& request) {
+  write_frame(fd_, request);
   std::vector<std::uint8_t> payload;
   FG_CHECK(read_frame(fd_, payload), "server closed connection");
-  if (peek_type(payload) == MessageType::kOverloaded) {
+  const MessageType type = peek_type(payload);
+  if (type == MessageType::kOverloaded) {
     throw Overloaded("server overloaded: " + decode_overloaded(payload));
   }
-  if (peek_type(payload) == MessageType::kRateLimited) {
+  if (type == MessageType::kRateLimited) {
     const RateLimitedInfo info = decode_rate_limited(payload);
     throw RateLimited("rate limited: " + info.message, info.retry_after_micros);
   }
-  if (peek_type(payload) == MessageType::kError) {
-    FG_CHECK(false, "server error: " << decode_error(payload));
-  }
-  return decode_generate_response(payload);
+  FG_CHECK(type != MessageType::kError, "server error: " << decode_error(payload));
+  return payload;
+}
+
+GenerateResponse Client::generate(const GenerateRequest& request) {
+  return decode_generate_response(round_trip(encode_generate_request(request)));
 }
 
 ThresholdResponse Client::threshold_query(const ThresholdQuery& query) {
-  write_frame(fd_, encode_threshold_query(query));
-  std::vector<std::uint8_t> payload;
-  FG_CHECK(read_frame(fd_, payload), "server closed connection");
-  if (peek_type(payload) == MessageType::kOverloaded) {
-    throw Overloaded("server overloaded: " + decode_overloaded(payload));
-  }
-  if (peek_type(payload) == MessageType::kRateLimited) {
-    const RateLimitedInfo info = decode_rate_limited(payload);
-    throw RateLimited("rate limited: " + info.message, info.retry_after_micros);
-  }
-  if (peek_type(payload) == MessageType::kError) {
-    FG_CHECK(false, "server error: " << decode_error(payload));
-  }
-  return decode_threshold_response(payload);
+  return decode_threshold_response(round_trip(encode_threshold_query(query)));
 }
 
 GenerateResponse Client::generate_with_retry(const GenerateRequest& request,
@@ -778,23 +709,9 @@ GenerateResponse Client::generate_with_retry(const GenerateRequest& request,
 }
 
 HealthStatus Client::health() {
-  write_frame(fd_, encode_health_request());
-  std::vector<std::uint8_t> payload;
-  FG_CHECK(read_frame(fd_, payload), "server closed connection");
-  if (peek_type(payload) == MessageType::kError) {
-    FG_CHECK(false, "server error: " << decode_error(payload));
-  }
-  return decode_health_response(payload);
+  return decode_health_response(round_trip(encode_health_request()));
 }
 
-std::string Client::stats() {
-  write_frame(fd_, encode_stats_request());
-  std::vector<std::uint8_t> payload;
-  FG_CHECK(read_frame(fd_, payload), "server closed connection");
-  if (peek_type(payload) == MessageType::kError) {
-    FG_CHECK(false, "server error: " << decode_error(payload));
-  }
-  return decode_stats_response(payload);
-}
+std::string Client::stats() { return decode_stats_response(round_trip(encode_stats_request())); }
 
 }  // namespace flashgen::serve

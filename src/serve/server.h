@@ -8,10 +8,11 @@
 // requests in flight; responses return in request order. kGenerate frames
 // route through a per-model ReplicaDispatcher (least-loaded over N replica
 // engines, each with its own batcher + executor thread, extending the
-// bounded-admission and deadline-shedding behavior); completions re-enter
-// the loop through a queue + eventfd wakeup. Request errors are answered
-// with a kError frame on the same connection; the connection survives.
-// Malformed framing drops only the offending connection.
+// bounded-admission and deadline-shedding behavior), and kThresholdQuery
+// frames take the same path into the model's ThresholdService; completions
+// re-enter the loop through a queue + eventfd wakeup. Request errors are
+// answered with a kError frame on the same connection; the connection
+// survives. Malformed framing drops only the offending connection.
 //
 // The accept path is storm-proof: transient accept() failures (ECONNABORTED,
 // EMFILE, ENFILE, ...) are counted in serve.accept_errors and retried — with
@@ -30,6 +31,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -138,7 +140,7 @@ class Server {
   // can never overtake each other.
   struct Slot {
     bool ready = false;
-    bool counts_as_active = false;  // a generate admitted into a dispatcher
+    bool counts_as_active = false;  // admitted into a dispatcher or threshold service
     std::vector<std::uint8_t> frame;  // length-prefixed, ready to write
     std::chrono::steady_clock::time_point t0;  // request decode start
   };
@@ -173,6 +175,22 @@ class Server {
   void on_conn_readable(Conn& conn);
   void on_conn_writable(Conn& conn);
   void dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload);
+  /// The request path shared by generates and threshold queries: decode
+  /// stage, tenant admission, active-slot accounting, then `submit(done)`.
+  /// `done(result, error)` runs on the worker thread: it encodes a success
+  /// with `encode` and a failure with failure_payload, and queues the
+  /// response for the loop. A submit that throws unwinds the accounting and
+  /// rethrows.
+  template <typename Submit, typename Encode>
+  void submit_request(Conn& conn, std::uint64_t seq, std::uint32_t tenant_id, Submit submit,
+                      Encode encode);
+  /// Maps a failed request's exception to its response payload: Overloaded
+  /// becomes kOverloaded (the refusing component counted the shed); any
+  /// other error becomes kError and counts once in "errors".
+  std::vector<std::uint8_t> failure_payload(std::exception_ptr error);
+  Slot& slot_at(Conn& conn, std::uint64_t seq);
+  /// Resolves request `seq` with `payload`, without a worker round trip.
+  void answer(Conn& conn, std::uint64_t seq, const std::vector<std::uint8_t>& payload);
   void finish_slot(Conn& conn, std::uint64_t seq, std::vector<std::uint8_t> payload,
                    std::uint64_t infer_wait_micros);
   void flush_conn(Conn& conn);
@@ -261,6 +279,10 @@ class Client {
   HealthStatus health();
 
  private:
+  /// Writes one request frame and reads the reply. The typed sheds throw
+  /// Overloaded / RateLimited, kError FG_CHECKs; any other reply is returned.
+  std::vector<std::uint8_t> round_trip(const std::vector<std::uint8_t>& request);
+
   int fd_ = -1;
 };
 

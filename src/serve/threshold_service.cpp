@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/stats.h"
 
 namespace flashgen::serve {
 
@@ -45,9 +46,14 @@ ThresholdService::~ThresholdService() {
 void ThresholdService::submit_async(const data::Condition& condition, Completion done) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) throw Overloaded("threshold service draining");
     const std::size_t outstanding = queue_.size() + static_cast<std::size_t>(in_flight_);
-    if (options_.max_queue > 0 && outstanding >= options_.max_queue) {
+    const bool full = options_.max_queue > 0 && outstanding >= options_.max_queue;
+    if (closed_ || full) {
+      // Counted here, where it is refused, like the batcher's and the
+      // dispatcher's sheds.
+      static stats::Counter& shed_total = stats::counter("serve.shed");
+      shed_total.add();
+      if (closed_) throw Overloaded("threshold service draining");
       std::ostringstream os;
       os << "threshold admission queue full (" << outstanding << "/" << options_.max_queue << ")";
       throw Overloaded(os.str());

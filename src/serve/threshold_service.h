@@ -17,8 +17,9 @@
 // (from_cache is the only field that reflects the cache).
 //
 // Admission: submit_async throws Overloaded when the service queue is at its
-// bound or the service is closed; per-tenant token buckets run in the server
-// ahead of this queue, exactly as for generates.
+// bound or the service is closed, and counts the shed in serve.shed; per-
+// tenant token buckets run in the server ahead of this queue, exactly as for
+// generates.
 #pragma once
 
 #include <cstddef>
@@ -73,7 +74,8 @@ class ThresholdService {
   ThresholdService(const ThresholdService&) = delete;
   ThresholdService& operator=(const ThresholdService&) = delete;
 
-  /// Enqueues one query. Throws Overloaded when closed or at max_queue.
+  /// Enqueues one query. Throws Overloaded (counted in serve.shed) when
+  /// closed or at max_queue.
   void submit_async(const data::Condition& condition, Completion done);
 
   /// Blocking flavor for offline callers and tests.

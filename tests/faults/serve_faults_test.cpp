@@ -24,6 +24,7 @@
 #include "nn/module.h"
 #include "serve/batcher.h"
 #include "serve/engine.h"
+#include "serve/metrics_json.h"
 #include "serve/server.h"
 
 namespace flashgen::serve {
@@ -146,6 +147,7 @@ TEST_F(ServeFaultsTest, AdmissionQueueBoundShedsExcess) {
   policy.max_queue_depth = 2;
   ServeMetrics metrics;
   RequestBatcher batcher(engine, Shape({1, 8, 8}), policy, &metrics);
+  const std::uint64_t shed_before = metrics_count(metrics.to_json(), "shed");
 
   const std::vector<float> row = test_row();
   gate.block();
@@ -158,7 +160,7 @@ TEST_F(ServeFaultsTest, AdmissionQueueBoundShedsExcess) {
   EXPECT_EQ(first.get(), row);
   EXPECT_EQ(second.get(), row);
   batcher.drain();
-  EXPECT_NE(metrics.to_json().find("\"shed\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(metrics.to_json(), "shed"), shed_before + 1);
 }
 
 // A request whose deadline expires while queued behind a slow batch is failed
@@ -171,6 +173,7 @@ TEST_F(ServeFaultsTest, ExpiredQueuedDeadlinesAreShed) {
   policy.max_wait_micros = 0;
   ServeMetrics metrics;
   RequestBatcher batcher(engine, Shape({1, 8, 8}), policy, &metrics);
+  const std::uint64_t expired_before = metrics_count(metrics.to_json(), "deadline_exceeded");
 
   const std::vector<float> row = test_row();
   gate.block();
@@ -183,7 +186,7 @@ TEST_F(ServeFaultsTest, ExpiredQueuedDeadlinesAreShed) {
   EXPECT_EQ(slow.get(), row);
   EXPECT_THROW((void)doomed.get(), DeadlineExceeded);
   batcher.drain();
-  EXPECT_NE(metrics.to_json().find("\"deadline_exceeded\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(metrics.to_json(), "deadline_exceeded"), expired_before + 1);
 }
 
 TEST_F(ServeFaultsTest, ClosedBatcherRejectsNewWorkButFinishesAdmitted) {
@@ -220,6 +223,7 @@ TEST_F(ServeFaultsTest, DrainDeliversInFlightWorkAndShedsNewRequests) {
   policy.max_wait_micros = 100;
   Server server(registry, socket_path_, policy);
   server.start();
+  const std::uint64_t shed_before = metrics_count(server.metrics().to_json(), "shed");
 
   const GenerateRequest request = gate_request();
   {
@@ -251,7 +255,29 @@ TEST_F(ServeFaultsTest, DrainDeliversInFlightWorkAndShedsNewRequests) {
   drainer.join();
   EXPECT_EQ(in_flight_response.voltages, request.program_levels);
   EXPECT_FALSE(std::filesystem::exists(socket_path_));
-  EXPECT_NE(server.metrics().to_json().find("\"shed\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "shed"), shed_before + 1);
+}
+
+// A failed batch answers each of its requests with kError, and each such
+// answer counts once in "errors": the batcher does not count the batch too.
+TEST_F(ServeFaultsTest, FailedGenerateCountsOneError) {
+  ModelRegistry registry;
+  registry.add("Gate", std::make_unique<GateModel>(), Shape({1, 8, 8}), /*warmup_batch=*/0);
+  BatchPolicy policy;
+  policy.max_batch_size = 1;
+  policy.max_wait_micros = 0;
+  Server server(registry, socket_path_, policy);
+  server.start();
+  const std::uint64_t errors_before = metrics_count(server.metrics().to_json(), "errors");
+
+  faultinject::configure("serve_replica_error:@0");
+  Client client(socket_path_);
+  EXPECT_THROW((void)client.generate(gate_request()), Error);
+  EXPECT_EQ(faultinject::fired("serve_replica_error"), 1u);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "errors"), errors_before + 1);
+  // The replica keeps serving once the fault has fired.
+  EXPECT_EQ(client.generate(gate_request()).voltages, test_row());
+  server.drain_and_stop();
 }
 
 // Hostile or truncated frames and mid-frame disconnects must only cost the

@@ -14,6 +14,7 @@
 #include "data/dataset.h"
 #include "serve/batcher.h"
 #include "serve/engine.h"
+#include "serve/metrics_json.h"
 
 namespace flashgen::serve {
 namespace {
@@ -170,17 +171,18 @@ TEST_F(BatcherTest, RecordsQueueAndBatchMetrics) {
 }
 
 // A submit after close() is shed on the draining path: it must count once in
-// ServeMetrics and once in the process-wide serve.shed counter, like a shed
-// on a full queue.
+// the process-wide serve.shed counter, like a shed on a full queue, and the
+// ServeMetrics "shed" key (a read of that counter) must move with it.
 TEST_F(BatcherTest, SubmitAfterCloseCountsOneShedInBothCounters) {
   stats::Counter& shed_total = stats::counter("serve.shed");
   ServeMetrics metrics;
   RequestBatcher batcher(*engine_, Shape({1, 8, 8}), BatchPolicy{}, &metrics);
   batcher.close();
   const std::uint64_t before = shed_total.value();
+  const std::uint64_t json_before = metrics_count(metrics.to_json(), "shed");
   EXPECT_THROW((void)batcher.submit(rows_[0], kSeed, 0), Overloaded);
   EXPECT_EQ(shed_total.value(), before + 1);
-  EXPECT_NE(metrics.to_json().find("\"shed\": 1,"), std::string::npos) << metrics.to_json();
+  EXPECT_EQ(metrics_count(metrics.to_json(), "shed"), json_before + 1) << metrics.to_json();
 }
 
 // The same coalescing check at the served geometry (side 16, 16 base

@@ -32,6 +32,7 @@
 #include "models/generative_model.h"
 #include "nn/module.h"
 #include "serve/dispatcher.h"
+#include "serve/metrics_json.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
 
@@ -380,6 +381,7 @@ TEST_F(FleetTest, HealthReportsDegradedWhileReplicaQuarantined) {
   options.supervisor = fast_supervisor();
   Server server(registry, options);
   server.start();
+  const std::string json_before = server.metrics().to_json();
 
   Client client(socket_path_);
   EXPECT_EQ(client.health(), HealthStatus::kReady);
@@ -398,8 +400,10 @@ TEST_F(FleetTest, HealthReportsDegradedWhileReplicaQuarantined) {
   ASSERT_TRUE(eventually([&] { return client.health() == HealthStatus::kReady; }));
   server.drain_and_stop();
   const std::string json = server.metrics().to_json();
-  EXPECT_NE(json.find("\"replica_quarantines\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"replica_restarts\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(json, "replica_quarantines"),
+            metrics_count(json_before, "replica_quarantines") + 1);
+  EXPECT_EQ(metrics_count(json, "replica_restarts"),
+            metrics_count(json_before, "replica_restarts") + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -452,6 +456,7 @@ TEST_F(FleetTest, OverRateTenantIsShedTypedWithoutTouchingOthers) {
   options.tenant.burst = 1.0;
   Server server(registry, options);
   server.start();
+  const std::uint64_t limited_before = metrics_count(server.metrics().to_json(), "rate_limited");
 
   Client client(socket_path_);
   // Tenant 7's single burst token admits the first request...
@@ -471,7 +476,7 @@ TEST_F(FleetTest, OverRateTenantIsShedTypedWithoutTouchingOthers) {
   EXPECT_EQ(client.generate(echo_request(/*tenant=*/0)).voltages, test_row());
 
   server.drain_and_stop();
-  EXPECT_NE(server.metrics().to_json().find("\"rate_limited\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "rate_limited"), limited_before + 1);
 }
 
 TEST_F(FleetTest, ClientRetryBacksOffPastRateLimitAndSucceeds) {
@@ -546,6 +551,7 @@ TEST_F(FleetTest, IdleConnectionsAreEvictedWhileActiveOnesSurvive) {
   options.idle_timeout_micros = 50'000;
   Server server(registry, options);
   server.start();
+  const std::uint64_t evicted_before = metrics_count(server.metrics().to_json(), "conn_evicted");
 
   RawConn idle(socket_path_);  // connects, then never speaks
   Client active(socket_path_);
@@ -561,7 +567,7 @@ TEST_F(FleetTest, IdleConnectionsAreEvictedWhileActiveOnesSurvive) {
   EXPECT_EQ(active.generate(echo_request()).voltages, test_row());
 
   server.drain_and_stop();
-  EXPECT_NE(server.metrics().to_json().find("\"conn_evicted\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "conn_evicted"), evicted_before + 1);
 }
 
 TEST_F(FleetTest, PipelineCapEvictsConnectionWithTypedError) {
@@ -576,6 +582,7 @@ TEST_F(FleetTest, PipelineCapEvictsConnectionWithTypedError) {
   options.max_pipelined_requests = 2;
   Server server(registry, options);
   server.start();
+  const std::uint64_t evicted_before = metrics_count(server.metrics().to_json(), "conn_evicted");
 
   GenerateRequest request = echo_request();
   request.model = "Gate";
@@ -596,7 +603,7 @@ TEST_F(FleetTest, PipelineCapEvictsConnectionWithTypedError) {
 
   gate->release();
   server.stop();  // the evicted conn's admitted work may still be in flight
-  EXPECT_NE(server.metrics().to_json().find("\"conn_evicted\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "conn_evicted"), evicted_before + 1);
 }
 
 TEST_F(FleetTest, BufferedBytesCapEvictsSlowLorisFrames) {

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/json.h"
+#include "common/stats.h"
 #include "serve/metrics.h"
 
 namespace flashgen::serve {
@@ -163,6 +164,23 @@ TEST(LatencyHistogramTest, EmptyHistogramReportsZero) {
   EXPECT_EQ(h.quantile_micros(0.5), 0u);
   EXPECT_EQ(h.quantile_micros(0.999), 0u);
   EXPECT_EQ(h.mean_micros(), 0.0);
+}
+
+// The serve event counters are reads of the process registry: each
+// top-level key equals its "serve.<key>" entry under process.counters in the
+// same scrape, and moves when only the registry counter is bumped.
+TEST(ServeMetricsTest, EventCountersAreReadsOfTheProcessRegistry) {
+  const ServeMetrics m;
+  const char* keys[] = {"shed",         "deadline_exceeded",   "accept_errors",  "rate_limited",
+                        "conn_evicted", "replica_quarantines", "replica_restarts"};
+  const JsonValue before = json_parse(m.to_json());
+  for (const char* key : keys) stats::counter(std::string("serve.") + key).add(3);
+  const JsonValue after = json_parse(m.to_json());
+  const JsonValue& counters = after.at("process").at("counters");
+  for (const char* key : keys) {
+    EXPECT_EQ(after.at(key).number(), before.at(key).number() + 3) << key;
+    EXPECT_EQ(after.at(key).number(), counters.at(std::string("serve.") + key).number()) << key;
+  }
 }
 
 }  // namespace

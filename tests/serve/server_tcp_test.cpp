@@ -23,6 +23,7 @@
 #include "data/dataset.h"
 #include "serve/dispatcher.h"
 #include "serve/endpoint.h"
+#include "serve/metrics_json.h"
 #include "serve/server.h"
 
 namespace flashgen::serve {
@@ -283,6 +284,7 @@ TEST_F(ServerTcpTest, TransientAcceptErrorsAreRetriedAndCounted) {
   options.endpoint = "tcp:127.0.0.1:0";
   Server server(registry, options);
   server.start();
+  const std::uint64_t errors_before = metrics_count(server.metrics().to_json(), "accept_errors");
 
   // The first evaluation of the accept-path fault point simulates
   // accept() => ECONNABORTED. The old thread-per-connection loop exited
@@ -295,7 +297,7 @@ TEST_F(ServerTcpTest, TransientAcceptErrorsAreRetriedAndCounted) {
   EXPECT_GE(faultinject::fired("serve_accept_transient"), 1u);
   faultinject::clear();
 
-  EXPECT_NE(server.metrics().to_json().find("\"accept_errors\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "accept_errors"), errors_before + 1);
   server.stop();
 }
 
@@ -305,6 +307,7 @@ TEST_F(ServerTcpTest, FdExhaustionPausesAndRecoversWithoutDroppingTheListener) {
   options.endpoint = "tcp:127.0.0.1:0";
   Server server(registry, options);
   server.start();
+  const std::uint64_t errors_before = metrics_count(server.metrics().to_json(), "accept_errors");
 
   // Simulated EMFILE: the loop must back off briefly and resume accepting —
   // level-triggered epoll re-reports the still-pending connection.
@@ -315,7 +318,7 @@ TEST_F(ServerTcpTest, FdExhaustionPausesAndRecoversWithoutDroppingTheListener) {
   EXPECT_GE(faultinject::fired("serve_accept_exhausted"), 1u);
   faultinject::clear();
 
-  EXPECT_NE(server.metrics().to_json().find("\"accept_errors\": 1"), std::string::npos);
+  EXPECT_EQ(metrics_count(server.metrics().to_json(), "accept_errors"), errors_before + 1);
   server.stop();
 }
 

@@ -13,8 +13,10 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/stats.h"
 #include "models/cvae_gan.h"
 #include "nn/module.h"
+#include "serve/metrics_json.h"
 #include "serve/server.h"
 
 namespace flashgen::serve {
@@ -174,6 +176,52 @@ TEST(ThresholdServe, OverRateTenantIsShedWithRateLimited) {
   // cache because admission happens before the cache lookup.
   query.tenant_id = 8;
   EXPECT_TRUE(client.threshold_query(query).from_cache);
+  server.drain_and_stop();
+}
+
+// A query refused by the service's own admission (here: closed) is a shed,
+// counted once in serve.shed where it is refused.
+TEST(ThresholdServe, ServiceAdmissionShedCountsOnce) {
+  auto model = temporal_model();
+  InferenceEngine engine(*model);
+  ReplicaDispatcher dispatcher({&engine}, Shape({1, kSide, kSide}), BatchPolicy{});
+  ThresholdService service(dispatcher, small_options("").threshold);
+  service.close();
+  const stats::Counter& shed_total = stats::counter("serve.shed");
+  const std::uint64_t before = shed_total.value();
+  EXPECT_THROW(service.submit_async({6000.0, 250.0},
+                                    [](thresholds::ThresholdReport, std::exception_ptr) {}),
+               Overloaded);
+  EXPECT_EQ(shed_total.value(), before + 1);
+}
+
+// A threshold query whose sampling is shed by a full fleet queue answers
+// kOverloaded. The shed counts once, where the batcher refused the row: the
+// top-level "shed" and process.counters["serve.shed"] move together.
+TEST(ThresholdServe, FleetShedDuringQueryCountsOnce) {
+  ModelRegistry registry;
+  registry.add("Temporal", temporal_model(), Shape({1, kSide, kSide}), /*warmup_batch=*/2);
+  const std::string socket_path = unique_socket("");
+  ServerOptions options = small_options(socket_path);
+  options.policy.max_batch_size = 1;
+  options.policy.max_queue_depth = 1;  // the wave's second row finds the queue full
+  Server server(registry, options);
+  server.start();
+
+  Client client(socket_path);
+  const std::string before = client.stats();
+  try {
+    (void)client.threshold_query(worn_query());
+    FAIL() << "the fleet admitted a whole sampling wave past its queue bound";
+  } catch (const Overloaded& e) {
+    EXPECT_NE(std::string(e.what()).find("admission queue full (1/1)"), std::string::npos)
+        << e.what();
+  }
+  const std::string after = client.stats();
+  EXPECT_EQ(metrics_count(after, "shed"), metrics_count(before, "shed") + 1) << after;
+  EXPECT_EQ(process_count(after, "serve.shed"), process_count(before, "serve.shed") + 1)
+      << after;
+  EXPECT_EQ(metrics_count(after, "shed"), process_count(after, "serve.shed")) << after;
   server.drain_and_stop();
 }
 
