@@ -318,6 +318,35 @@ TEST(GoldenDigest, ServedGenerateSingleRow) {
   EXPECT_EQ(served_digest(1), 0xdebd4afffdd9c262ULL);
 }
 
+// Two streamed training steps of the conditioned cVAE-GAN at the perfbench
+// train_stream geometry (side 16, 16 base channels, z_dim 8, batch 8) over a
+// one-worker PrefetchSource. At this size the training GEMMs clear the
+// packed threshold, including the beta = 1 conv-transpose dX products of the
+// inner up-convs whose items are only 1 or 4 columns wide, so this pins the
+// packed path of a training step that the tiny geometry above never reaches.
+TEST(GoldenDigest, TemporalFitStreamAtBenchGeometry) {
+  pipeline::StreamConfig stream;
+  stream.dataset.array_size = 16;
+  stream.dataset.num_arrays = 16;  // two batches of eight
+  stream.dataset.channel.rows = 16;
+  stream.dataset.channel.cols = 16;
+  stream.seed = 17;
+  stream.conditions = condition_grid();
+  pipeline::PrefetchSource source(stream, /*global_batch=*/8,
+                                  pipeline::PrefetchConfig{.workers = 1, .queue_depth = 4});
+  auto model = core::make_model(ModelKind::Temporal, served_network(), /*seed=*/7);
+  models::TrainConfig train;
+  train.epochs = 1;
+  train.batch_size = 8;
+  train.lr = 1e-3f;
+  train.beta = 1.0f;
+  train.log_every = 1;
+  flashgen::Rng rng(4);
+  const models::TrainStats stats = model->fit_stream(source, train, rng);
+  ASSERT_EQ(stats.steps, 2);
+  EXPECT_EQ(train_digest(*model, stats), 0x156b55018dcd0e0cULL);
+}
+
 // A read-threshold ladder sampled in process from the seeded, untrained
 // side-8 cVAE-GAN conditioned on (PE, retention): pins the conditioned
 // sampling path plus histogram accumulation, crossing candidates and the
