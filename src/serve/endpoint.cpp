@@ -112,6 +112,15 @@ int listen_endpoint(const Endpoint& endpoint, int backlog) {
   return fd;
 }
 
+int accept_endpoint(int listen_fd) {
+  sockaddr_storage peer{};
+  socklen_t len = sizeof(peer);
+  const int fd = ::accept4(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0 && peer.ss_family == AF_INET) set_nodelay(fd);
+  return fd;
+}
+
 int connect_endpoint(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::kUnix) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);

@@ -8,8 +8,9 @@
 //   "tcp:127.0.0.1:0"          - TCP on an OS-assigned port (tests; read it
 //                                back with bound_port())
 //
-// listen_endpoint/connect_endpoint own the transport-specific setup:
-// SO_REUSEADDR + TCP_NODELAY for TCP (small request/response frames would
+// listen_endpoint/accept_endpoint/connect_endpoint own the
+// transport-specific setup: SO_REUSEADDR for TCP listeners, TCP_NODELAY on
+// both ends of a TCP connection (small request/response frames would
 // otherwise stall on Nagle/delayed-ACK interaction), stale-socket unlink for
 // unix.
 #pragma once
@@ -41,6 +42,12 @@ std::string to_string(const Endpoint& endpoint);
 /// listening fd (blocking; callers running an event loop mark it
 /// non-blocking). Throws flashgen::Error on failure.
 int listen_endpoint(const Endpoint& endpoint, int backlog);
+
+/// Accepts one pending connection on `listen_fd` as a non-blocking,
+/// close-on-exec socket, with TCP_NODELAY set when it is TCP. Returns the fd,
+/// or -1 with errno set as accept4 left it (EAGAIN once a non-blocking
+/// listener's backlog is drained).
+int accept_endpoint(int listen_fd);
 
 /// Connects a blocking client socket to `endpoint` (TCP_NODELAY set for
 /// TCP). Throws flashgen::Error on failure.

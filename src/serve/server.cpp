@@ -300,7 +300,7 @@ void Server::on_listener_ready() {
     } else if (FG_FAULT("serve_accept_exhausted")) {
       err = EMFILE;
     } else {
-      fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      fd = accept_endpoint(listen_fd_);
       if (fd < 0) err = errno;
     }
     if (fd >= 0) {

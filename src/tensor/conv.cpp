@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -124,23 +125,24 @@ ConvGeom conv_geometry(const Tensor& x, const Tensor& w, Index stride, Index pad
 }
 
 // Deterministic shared-gradient accumulation for the batch dimension: one
-// strided-batched GEMM writes a zero-initialized per-sample partial of the
-// weight gradient for every sample (beta = 1, so the backend *accumulates*
-// into the zeroed partial with the same per-item shape the old per-sample
-// sgemm loop used), and the partials are folded into the real buffer serially
-// in sample order. The fold order — and the float rounding — is therefore
-// identical for any thread count, and identical to the historical looped
-// path by the backend contract (batched == loop of single calls, per item).
+// strided-batched GEMM writes a per-sample partial of the weight gradient for
+// every sample (beta = 0, so each chain starts at +0 exactly as accumulating
+// into a zeroed partial would, and the buffer needs no fill), and the
+// partials are folded into the real buffer serially in sample order. The
+// fold order — and the float rounding — is therefore identical for any
+// thread count and to a loop of per-sample GEMMs (the backend contract:
+// batched == loop of single calls, per item).
 void fold_weight_partials(const GemmDesc& per_sample, const float* a, const float* b,
                           Index n, std::size_t dw_size, float* dw_out) {
-  std::vector<float> partials(static_cast<std::size_t>(n) * dw_size, 0.0f);
+  const auto partials =
+      std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(n) * dw_size);
   GemmDesc d = per_sample;
-  d.beta = 1.0f;
+  d.beta = 0.0f;
   d.batch_count = n;
   d.stride_c = static_cast<std::int64_t>(dw_size);
-  sgemm_strided_batched(d, a, b, partials.data());
+  sgemm_strided_batched(d, a, b, partials.get());
   for (Index s = 0; s < n; ++s) {
-    const float* p = partials.data() + static_cast<std::size_t>(s) * dw_size;
+    const float* p = partials.get() + static_cast<std::size_t>(s) * dw_size;
     for (std::size_t i = 0; i < dw_size; ++i) dw_out[i] += p[i];
   }
 }
@@ -216,48 +218,31 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, Index stride,
         }
       },
       /*fully_overwritten=*/true);
-  if (inference_mode() && g.n > 1) {
-    // Serving path: strided im2col lays sample s into columns
-    // [s*osp, (s+1)*osp) of one (CKK, N*osp) matrix, and a single
-    // strided-batched GEMM (shared weight, stride_a = 0) writes every
-    // sample's output plane directly into y — the packing cost is paid once
-    // per batch and the old (OC, N*osp) -> (N, OC, osp) scatter copy is
-    // gone. The per-item shape (OC, osp, CKK) is exactly the training-path
-    // per-sample GEMM, so the bits match the training forward for every
-    // backend, and a coalesced request matches the same request served
-    // alone.
-    const Index bsp = g.n * osp;
-    ScratchBuffer cols(static_cast<std::size_t>(ckk) * bsp);
-    common::parallel_for(0, g.n, 1, [&](Index s0, Index s1) {
-      for (Index s = s0; s < s1; ++s)
-        detail::im2col(x.data().data() + s * g.c * g.h * g.w, g.c, g.h, g.w, g.kh, g.kw,
-                       stride, padding, g.oh, g.ow, cols.data() + s * osp, bsp);
-    });
-    GemmDesc d;
-    d.m = g.oc;
-    d.n = osp;
-    d.k = ckk;
-    d.lda = ckk;
-    d.ldb = bsp;
-    d.ldc = osp;
-    d.batch_count = g.n;
-    d.stride_b = osp;
-    d.stride_c = g.oc * osp;
-    sgemm_strided_batched(d, w.data().data(), cols.data(), y.data().data());
-  } else {
-    // Training path: every sample owns a disjoint band of y, so the batch
-    // loop is embarrassingly parallel; each chunk keeps a private im2col
-    // scratch.
-    common::parallel_for(0, g.n, 1, [&](Index s0, Index s1) {
-      ScratchBuffer cols(static_cast<std::size_t>(ckk) * osp);
-      for (Index s = s0; s < s1; ++s) {
-        detail::im2col(x.data().data() + s * g.c * g.h * g.w, g.c, g.h, g.w, g.kh, g.kw,
-                       stride, padding, g.oh, g.ow, cols.data());
-        sgemm(false, false, g.oc, osp, ckk, 1.0f, w.data().data(), ckk, cols.data(), osp,
-              0.0f, y.data().data() + s * g.oc * osp, osp);
-      }
-    });
-  }
+  // Forward, training and serving alike: strided im2col lays sample s into
+  // columns [s*osp, (s+1)*osp) of one (CKK, N*osp) matrix, and a single
+  // strided-batched GEMM (shared weight, stride_a = 0) writes every sample's
+  // output plane directly into y, so the weight is packed once per batch.
+  // The per-item shape (OC, osp, CKK) does not depend on N, so a sample's
+  // bits are the same alone or in any batch: a coalesced request matches the
+  // same request served alone.
+  const Index bsp = g.n * osp;
+  ScratchBuffer cols(static_cast<std::size_t>(ckk) * bsp);
+  common::parallel_for(0, g.n, 1, [&](Index s0, Index s1) {
+    for (Index s = s0; s < s1; ++s)
+      detail::im2col(x.data().data() + s * g.c * g.h * g.w, g.c, g.h, g.w, g.kh, g.kw, stride,
+                     padding, g.oh, g.ow, cols.data() + s * osp, bsp);
+  });
+  GemmDesc d;
+  d.m = g.oc;
+  d.n = osp;
+  d.k = ckk;
+  d.lda = ckk;
+  d.ldb = bsp;
+  d.ldc = osp;
+  d.batch_count = g.n;
+  d.stride_b = osp;
+  d.stride_c = g.oc * osp;
+  sgemm_strided_batched(d, w.data().data(), cols.data(), y.data().data());
   if (b.defined()) y = add_bias(std::move(y), b);
   return y;
 }
@@ -302,7 +287,8 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b, Index
         });
         if (dx_base != nullptr) {
           // dX[s] (C, isp) += W_mat (C, OCKK) * dy_cols[s], one batched call
-          // (shared weight, beta = 1 accumulates into the live gradient).
+          // (shared weight, folded into tile columns; beta = 1 starts each
+          // chain at the live gradient, the same chain in both backends).
           GemmDesc d;
           d.m = c;
           d.n = isp2;
@@ -333,44 +319,31 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b, Index
                                static_cast<std::size_t>(c) * ockk2, wi->grad_buffer().data());
         }
       });
-  // Forward: cols (OCKK, isp) = W_mat^T (OCKK, C) * X (C, isp); Y = col2im(cols).
-  // y is NOT marked fully_overwritten: col2im accumulates into zeroed output.
-  if (inference_mode() && n > 1) {
-    // Serving path: one strided-batched GEMM reads every sample's input
-    // in place (shared transposed weight, stride_a = 0), so the old
-    // (N, C, isp) -> (C, N*isp) gather copy is gone; the transposed weight
-    // is still materialized/packed once per batch, not once per sample.
-    // The per-item shape matches the per-sample path exactly, so the bits
-    // are identical whether a request is served alone or coalesced.
-    ScratchBuffer cols(static_cast<std::size_t>(n) * ockk * isp);
-    GemmDesc d;
-    d.trans_a = true;
-    d.m = ockk;
-    d.n = isp;
-    d.k = c;
-    d.lda = ockk;
-    d.ldb = isp;
-    d.ldc = isp;
-    d.batch_count = n;
-    d.stride_b = c * isp;
-    d.stride_c = ockk * isp;
-    sgemm_strided_batched(d, w.data().data(), x.data().data(), cols.data());
-    common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
-      for (Index s = s0; s < s1; ++s)
-        detail::col2im(cols.data() + s * ockk * isp, oc, oh, ow, kh, kw, stride, padding, h,
-                       wdt, y.data().data() + s * oc * oh * ow);
-    });
-  } else {
-    common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
-      ScratchBuffer cols(static_cast<std::size_t>(ockk) * isp);
-      for (Index s = s0; s < s1; ++s) {
-        sgemm(true, false, ockk, isp, c, 1.0f, w.data().data(), ockk,
-              x.data().data() + s * c * isp, isp, 0.0f, cols.data(), isp);
-        detail::col2im(cols.data(), oc, oh, ow, kh, kw, stride, padding, h, wdt,
-                       y.data().data() + s * oc * oh * ow);
-      }
-    });
-  }
+  // Forward, training and serving alike: cols[s] (OCKK, isp) =
+  // W_mat^T (OCKK, C) * X[s] (C, isp) as one strided-batched GEMM that reads
+  // every sample's input in place (shared transposed weight, stride_a = 0,
+  // packed once per batch), then Y[s] = col2im(cols[s]). The per-item shape
+  // does not depend on N, so the bits are identical whether a sample runs
+  // alone or in a batch. y is NOT marked fully_overwritten: col2im
+  // accumulates into the zeroed output.
+  ScratchBuffer cols(static_cast<std::size_t>(n) * ockk * isp);
+  GemmDesc d;
+  d.trans_a = true;
+  d.m = ockk;
+  d.n = isp;
+  d.k = c;
+  d.lda = ockk;
+  d.ldb = isp;
+  d.ldc = isp;
+  d.batch_count = n;
+  d.stride_b = c * isp;
+  d.stride_c = ockk * isp;
+  sgemm_strided_batched(d, w.data().data(), x.data().data(), cols.data());
+  common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
+    for (Index s = s0; s < s1; ++s)
+      detail::col2im(cols.data() + s * ockk * isp, oc, oh, ow, kh, kw, stride, padding, h, wdt,
+                     y.data().data() + s * oc * oh * ow);
+  });
   if (b.defined()) y = add_bias(std::move(y), b);
   return y;
 }

@@ -27,9 +27,12 @@
 //     host's tile shape or the tile column a shared-A batch folds it into.
 //   * beta == 0 overwrites C without reading it (NaN-poisoned C stays inert),
 //     beta == 1 adds, anything else scales-and-adds.
-// Backends are NOT required to agree with each other bit-for-bit — switching
-// backends may change low bits, which is why the backend is a process-wide
-// choice, not a per-call one.
+//   * Every C element is one FMA chain that starts at beta * C (+0 at
+//     beta == 0, C itself at beta == 1) and adds (alpha * op(A)[i][p]) *
+//     op(B)[p][j] for p in increasing order. Both built-in backends compute
+//     exactly this chain, so in FMA-contracting builds (Release,
+//     -ffp-contract=fast) they agree bit-for-bit for any beta and any C; the
+//     golden digests rely on it.
 #pragma once
 
 #include <cstdint>

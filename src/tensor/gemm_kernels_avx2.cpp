@@ -11,16 +11,17 @@ namespace flashgen::tensor::detail {
 namespace {
 
 // The classic 6x16 register tile: MR rows x (NV * 8) columns. One accumulator
-// register per (row, vector) pair, updated by exactly one FMA per k step:
-// each C element is a single rounding chain in strictly increasing-k order,
-// so the bits are independent of the tile shape. 16 ymm registers hold the
+// register per (row, vector) pair, loaded from `acc` (the chain's start,
+// beta * C) and updated by exactly one FMA per k step: each C element is a
+// single rounding chain in strictly increasing-k order, so the bits are
+// independent of the tile shape. 16 ymm registers hold the
 // 12 accumulators, the NV B vectors and one broadcast without spilling.
 constexpr int MR = 6, NV = 2, NR = NV * 8;
 
 void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
   __m256 c[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) c[r][v] = _mm256_setzero_ps();
+    for (int v = 0; v < NV; ++v) c[r][v] = _mm256_loadu_ps(acc + r * NR + v * 8);
   for (std::int64_t p = 0; p < k; ++p) {
     __m256 b[NV];
     for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(pb + p * NR + v * 8);

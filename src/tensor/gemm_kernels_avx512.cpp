@@ -1,7 +1,8 @@
 // The 512-bit FMA microkernel for the packed GEMM backend. Same contract as
-// the AVX2 kernel (one FMA chain per C element, strict k order), so it
-// produces bit-identical results to the 256-bit one — AVX-512 is purely a
-// throughput upgrade, selected at runtime when the host supports it.
+// the AVX2 kernel (one FMA chain per C element from the loaded accumulator,
+// strict k order), so it produces bit-identical results to the 256-bit one —
+// AVX-512 is purely a throughput upgrade, selected at runtime when the host
+// supports it.
 #include "tensor/gemm_packed.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -17,7 +18,7 @@ constexpr int MR = 14, NV = 2, NR = NV * 16;
 void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
   __m512 c[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v) c[r][v] = _mm512_setzero_ps();
+    for (int v = 0; v < NV; ++v) c[r][v] = _mm512_loadu_ps(acc + r * NR + v * 16);
   for (std::int64_t p = 0; p < k; ++p) {
     __m512 b[NV];
     for (int v = 0; v < NV; ++v) b[v] = _mm512_loadu_ps(pb + p * NR + v * 16);

@@ -6,8 +6,8 @@
 //                alpha folded in and tail rows zero-padded;
 //   2. pack B  — (view, col-strip) chunks write disjoint [k][nr] panels with
 //                tail columns zero-padded;
-//   3. macro   — (view, col-strip, row-strip) tiles run the microkernel and
-//                write back C with beta applied once.
+//   3. macro   — (view, col-strip, row-strip) tiles start the accumulator at
+//                beta * C, run the microkernel and copy it back to C.
 //
 // A shared A (stride_a == 0, the conv weight) is packed once and the batch
 // folds into columns: column J of one virtual (k, batch*n) op(B) is column
@@ -16,11 +16,10 @@
 // produced by exactly one tile as a single full-k FMA chain, so results are
 // bit-identical across thread counts, batched-vs-looped calls, leading
 // strides, and — because the chain never changes — both ISAs' kernels.
-// Problems too small to amortize packing fall back to the reference loop
-// nest; the decision depends only on the per-item (m, n, k, beta). At
-// beta == 0 both paths run the same chain from zero, so only k and the flop
-// count decide; at beta != 0 the reference chain starts at C while the packed
-// one adds C after it, so items narrower than 8 columns keep the reference.
+// That chain is the reference loop nest's (scale C by beta, then one FMA per
+// k in increasing order), so problems too small to amortize packing can fall
+// back to it without changing bits; the decision depends only on the
+// per-item (m, n, k).
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -118,21 +117,26 @@ void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t v, std::int64_
   for (std::int64_t p = 0; p < k; ++p) std::fill(dst + p * nr + width, dst + (p + 1) * nr, 0.0f);
 }
 
-// C tile <- acc with beta applied. beta == 0 never reads C (poisoned C stays
-// inert); padded accumulator rows/columns are simply not written.
-void write_tile(const float* acc, std::int64_t nr, std::int64_t rows, std::int64_t cols,
-                float beta, float* c, std::int64_t ldc) {
+// acc tile <- beta * C (C itself at beta == 1): the chain's start, exactly
+// the reference loop's scale_rows. Never called at beta == 0, which leaves
+// the zeroed tile and never reads C (poisoned C stays inert).
+void read_tile(const float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols,
+               float beta, float* acc, std::int64_t nr) {
   for (std::int64_t r = 0; r < rows; ++r) {
-    const float* arow = acc + r * nr;
-    float* crow = c + r * ldc;
-    if (beta == 0.0f) {
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] = arow[j];
-    } else if (beta == 1.0f) {
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] += arow[j];
+    const float* crow = c + r * ldc;
+    float* arow = acc + r * nr;
+    if (beta == 1.0f) {
+      std::copy_n(crow, cols, arow);
     } else {
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] = arow[j] + beta * crow[j];
+      for (std::int64_t j = 0; j < cols; ++j) arow[j] = beta * crow[j];
     }
   }
+}
+
+// C tile <- acc; padded accumulator rows/columns are simply not written.
+void write_tile(const float* acc, std::int64_t nr, std::int64_t rows, std::int64_t cols,
+                float* c, std::int64_t ldc) {
+  for (std::int64_t r = 0; r < rows; ++r) std::copy_n(acc + r * nr, cols, c + r * ldc);
 }
 
 // Grain helpers: all a function of shape + tile config only, never of the
@@ -147,8 +151,7 @@ std::int64_t macro_grain(std::int64_t tile_flops) {
 }  // namespace
 
 bool packed_gemm_uses_fallback(const GemmDesc& desc) {
-  return (desc.beta != 0.0f && desc.n < 8) || desc.k < 2 ||
-         desc.m * desc.n * desc.k < kMinPackedFlops;
+  return desc.k < 2 || desc.m * desc.n * desc.k < kMinPackedFlops;
 }
 
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const float* a,
@@ -187,27 +190,37 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const
                        });
 
   // Tiles run row strips fastest, so one B panel is reused across all of A.
+  // A tile's accumulator starts at beta * C over its item runs (0 in the
+  // padding) and is copied back over them after the kernel.
   const std::int64_t tiles = n_strips * m_strips;
-  common::parallel_for(0, views * tiles, macro_grain(mr * nr * k),
-                       [&](std::int64_t t0, std::int64_t t1) {
-                         alignas(64) float acc[kMaxTileElems];
-                         for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t v = t / tiles, js = (t % tiles) / m_strips;
-                           const std::int64_t is = t % m_strips;
-                           const std::int64_t i0 = is * mr, j0 = js * nr;
-                           const std::int64_t rows = std::min(mr, m - i0);
-                           const std::int64_t vb = b_views == 1 ? 0 : v;
-                           kernel.run(k, pa.data() + (v * m_strips + is) * pa_strip,
-                                      pb.data() + (vb * n_strips + js) * pb_strip, acc);
-                           for_each_item_run(
-                               n, v, j0, std::min(nr, width - j0),
-                               [&](std::int64_t item, std::int64_t col, std::int64_t j,
-                                   std::int64_t run) {
-                                 write_tile(acc + j, nr, rows, run, d.beta,
-                                            c + item * d.stride_c + i0 * d.ldc + col, d.ldc);
-                               });
-                         }
-                       });
+  common::parallel_for(0, views * tiles, macro_grain(mr * nr * k), [&](std::int64_t t0,
+                                                                      std::int64_t t1) {
+    alignas(64) float acc[kMaxTileElems];
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t v = t / tiles, js = (t % tiles) / m_strips, is = t % m_strips;
+      const std::int64_t i0 = is * mr, j0 = js * nr, rows = std::min(mr, m - i0);
+      const std::int64_t vb = b_views == 1 ? 0 : v;
+      // fn(C block, accumulator block, columns) for each item run of the tile.
+      const auto each_run = [&](auto&& fn) {
+        for_each_item_run(n, v, j0, std::min(nr, width - j0),
+                          [&](std::int64_t item, std::int64_t col, std::int64_t j,
+                              std::int64_t run) {
+                            fn(c + item * d.stride_c + i0 * d.ldc + col, acc + j, run);
+                          });
+      };
+      std::fill_n(acc, mr * nr, 0.0f);
+      if (d.beta != 0.0f) {
+        each_run([&](const float* cb, float* ab, std::int64_t run) {
+          read_tile(cb, d.ldc, rows, run, d.beta, ab, nr);
+        });
+      }
+      kernel.run(k, pa.data() + (v * m_strips + is) * pa_strip,
+                 pb.data() + (vb * n_strips + js) * pb_strip, acc);
+      each_run([&](float* cb, const float* ab, std::int64_t run) {
+        write_tile(ab, nr, rows, run, cb, d.ldc);
+      });
+    }
+  });
 }
 
 std::span<const MicroKernel> packed_kernels() {

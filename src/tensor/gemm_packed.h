@@ -5,11 +5,14 @@
 // A microkernel computes a full-K register tile: given packed panels
 //   pa[k][mr] = alpha * op(A)[i0+r][p]   (rows beyond m zero-padded)
 //   pb[k][nr] = op(B)[p][j0+j]           (cols beyond n zero-padded)
-// it accumulates acc[r][j] = sum_p pa[p][r] * pb[p][j] with one FMA chain per
-// element, strictly in increasing-p order. Because every element's sum is a
-// single rounding chain over the full k range, the result bits are identical
-// for every kernel (any mr/nr, 256-bit or 512-bit lanes), so the host's ISA
-// decides speed, never bits.
+// and an accumulator tile acc[mr][nr] that arrives initialised with the
+// chain's start (beta * C[i0+r][j0+j], 0 at beta == 0 and in the padding),
+// it updates acc[r][j] += pa[p][r] * pb[p][j] with one FMA per p, strictly in
+// increasing-p order. Because every element is a single rounding chain from
+// beta * C over the full k range, the result bits are identical for every
+// kernel (any mr/nr, 256-bit or 512-bit lanes), so the host's ISA decides
+// speed, never bits; and the chain is the reference loop nest's, so the
+// backends agree too.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +45,10 @@ std::span<const MicroKernel> packed_kernels();
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, const float* a,
                              const float* b, float* c);
 
-/// True when `desc` is small enough that the packed backend routes it to the
-/// reference loop nest instead of paying the packing overhead, or when
-/// beta != 0 and each item is narrower than 8 columns. Depends only on the
-/// per-item descriptor. Exposed so tests can pick shapes on both sides.
+/// True when `desc` is small enough (k < 2, or under 2^14 multiply-adds per
+/// item) that the packed backend routes it to the reference loop nest instead
+/// of paying the packing overhead. Depends only on the per-item shape.
+/// Exposed so tests can pick shapes on both sides.
 bool packed_gemm_uses_fallback(const GemmDesc& desc);
 
 // Per-ISA kernels, defined in gemm_kernels_avx2.cpp / gemm_kernels_avx512.cpp

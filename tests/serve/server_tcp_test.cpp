@@ -5,11 +5,16 @@
 // silence the listener — the regression this suite pins down).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -276,6 +281,43 @@ TEST_F(ServerTcpTest, OsAssignedPortIsReflectedInEndpoint) {
   EXPECT_NE(second.port(), 0);
   EXPECT_NE(first.port(), second.port());
   EXPECT_EQ(first.endpoint(), "tcp:127.0.0.1:" + std::to_string(first.port()));
+}
+
+// The server accepts through accept_endpoint: a TCP connection comes back
+// non-blocking with Nagle off, so a small reply never waits on the client's
+// delayed ACK; a unix one comes back non-blocking too.
+TEST(AcceptEndpoint, TcpConnectionsGetNoDelayAndNonBlocking) {
+  const Endpoint listen_at = parse_endpoint("tcp:127.0.0.1:0");
+  const int listener = listen_endpoint(listen_at, SOMAXCONN);
+  Endpoint target = listen_at;
+  target.port = bound_port(listener);
+  const int client = connect_endpoint(target);
+  const int accepted = accept_endpoint(listener);
+  ASSERT_GE(accepted, 0) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  EXPECT_NE(::fcntl(accepted, F_GETFL) & O_NONBLOCK, 0);
+  EXPECT_NE(::fcntl(accepted, F_GETFD) & FD_CLOEXEC, 0);
+  for (int fd : {accepted, client, listener}) ::close(fd);
+}
+
+TEST(AcceptEndpoint, UnixConnectionsAreNonBlockingAndDrainToEagain) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("flashgen_accept_" + std::to_string(::getpid()) + ".sock"))
+                               .string();
+  const Endpoint endpoint = parse_endpoint("unix:" + path);
+  const int listener = listen_endpoint(endpoint, SOMAXCONN);
+  const int client = connect_endpoint(endpoint);
+  const int accepted = accept_endpoint(listener);
+  ASSERT_GE(accepted, 0) << std::strerror(errno);
+  EXPECT_NE(::fcntl(accepted, F_GETFL) & O_NONBLOCK, 0);
+  ASSERT_EQ(::fcntl(listener, F_SETFL, ::fcntl(listener, F_GETFL) | O_NONBLOCK), 0);
+  EXPECT_EQ(accept_endpoint(listener), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+  for (int fd : {accepted, client, listener}) ::close(fd);
+  std::filesystem::remove(path);
 }
 
 TEST_F(ServerTcpTest, TransientAcceptErrorsAreRetriedAndCounted) {

@@ -6,9 +6,9 @@
 // strides, and the alpha/beta edge semantics (including beta == 0 over
 // NaN-poisoned C). On top of conformance, each backend must be bit-identical
 // across thread counts, across batched-vs-looped calls, and from run to run —
-// the contract in gemm_backend.h. Backends are NOT required to agree with
-// each other bitwise, and nothing here compares reference to avx2 beyond the
-// shared oracle tolerance.
+// the contract in gemm_backend.h. Both backends run every C element as one
+// FMA chain from beta * C, so GemmPackedKernels also holds each packed
+// kernel bitwise to the reference loop nest.
 #include "tensor/gemm_backend.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_packed.h"
+#include "tensor/gemm_util.h"
 
 namespace flashgen::tensor {
 namespace {
@@ -389,9 +390,16 @@ TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
   folded.batch_count = 8;
   folded.stride_b = folded.k;
   folded.stride_c = folded.m;
+  // The conv-transpose dX of the first up-conv: eight 1-column items that
+  // accumulate (beta = 1) into the live gradient, folded the same way.
+  GemmDesc folded_dx = folded;
+  folded_dx.k = 1024;
+  folded_dx.beta = 1.0f;
+  folded_dx.lda = folded_dx.k;
+  folded_dx.stride_b = folded_dx.k;
 
   flashgen::Rng rng(2718);
-  for (const GemmDesc& d : {plain, shared_a, folded}) {
+  for (const GemmDesc& d : {plain, shared_a, folded, folded_dx}) {
     ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
     std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
     fill_normal(a, rng);
@@ -410,34 +418,82 @@ TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
   }
 }
 
-// The packed backend's fallback rule at the served U-Net's innermost layers
-// (side 16, 16 base channels, z_dim 8). At beta == 0 the per-item column
-// count does not matter: down2, down3, up0 and up1 run packed. At beta != 0
-// items narrower than 8 columns keep the reference loop, whose chain starts
-// at C: the conv-transpose dX GEMM of up1 (beta = 1, 2x2 input) stays there.
-TEST(GemmPackedKernels, DeepUnetLayersTakeThePackedPathAtBetaZero) {
+// The packed backend's fallback rule at the U-Net's innermost layers (side
+// 16, 16 base channels, z_dim 8): only k and the flop count decide, so the
+// forward GEMMs of down2, down3, up0 and up1 and the conv-transpose dX GEMMs
+// of up0 and up1 (beta = 1, 1- and 4-column items) all run packed.
+TEST(GemmPackedKernels, DeepUnetLayersTakeThePackedPath) {
   const struct {
     const char* layer;
     bool trans_a;
     int m, n, k;
-  } deep[] = {{"down2", false, 64, 4, 640},
-              {"down3", false, 128, 1, 1152},
-              {"up0", true, 1024, 1, 128},
-              {"up1", true, 512, 4, 128}};
+    float beta;
+  } deep[] = {{"down2", false, 64, 4, 640, 0.0f},   {"down3", false, 128, 1, 1152, 0.0f},
+              {"up0", true, 1024, 1, 128, 0.0f},    {"up1", true, 512, 4, 128, 0.0f},
+              {"up0_dx", false, 128, 1, 1024, 1.0f}, {"up1_dx", false, 128, 4, 512, 1.0f}};
   for (const auto& layer : deep) {
     GemmDesc d;
     d.trans_a = layer.trans_a;
     d.m = layer.m;
     d.n = layer.n;
     d.k = layer.k;
+    d.beta = layer.beta;
     EXPECT_FALSE(detail::packed_gemm_uses_fallback(d)) << layer.layer;
   }
-  GemmDesc up1_dx;
-  up1_dx.m = 128;
-  up1_dx.n = 4;
-  up1_dx.k = 512;
-  up1_dx.beta = 1.0f;
-  EXPECT_TRUE(detail::packed_gemm_uses_fallback(up1_dx));
+}
+
+// Every packed kernel equals the reference loop nest bit for bit, for any
+// beta and any C: both start each element's chain at beta * C and add one
+// FMA per k in increasing order. Covers the shapes the fallback rule once
+// kept off the packed path (beta != 0 with 1-7 column items), shared and
+// per-item A, both transposes, and non-tight ldc and stride_c, which the
+// macro phase now reads. Like the golden digests, this needs a build that
+// contracts the reference loop's multiply-add into an FMA.
+TEST(GemmPackedKernels, EveryKernelMatchesReferenceBitwise) {
+#ifndef __FMA__
+  GTEST_SKIP() << "build does not contract multiply-adds into FMAs";
+#endif
+  const auto kernels = detail::packed_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
+  flashgen::Rng rng(1729);
+  for (const float beta : {0.0f, 1.0f, 0.5f, -2.0f}) {
+    for (const int n : {1, 4, 7, 56}) {
+      for (const bool shared_a : {true, false}) {
+        for (const bool ta : {false, true}) {
+          for (const bool tb : {false, true}) {
+            GemmDesc d;
+            d.trans_a = ta;
+            d.trans_b = tb;
+            d.m = 37;
+            d.n = n;
+            d.k = 51;
+            d.alpha = 1.25f;
+            d.beta = beta;
+            d.lda = (ta ? d.m : d.k) + 1;
+            d.ldb = (tb ? d.k : d.n) + 3;
+            d.ldc = d.n + 2;
+            d.batch_count = 3;
+            d.stride_a = shared_a ? 0 : (ta ? d.k : d.m) * d.lda + 1;
+            d.stride_b = (tb ? d.n : d.k) * d.ldb + 2;
+            d.stride_c = d.m * d.ldc + 5;
+            std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
+            fill_normal(a, rng);
+            fill_normal(b, rng);
+            fill_normal(c0, rng);
+            std::vector<float> expected = c0;
+            detail::reference_gemm(d, a.data(), b.data(), expected.data());
+            for (const detail::MicroKernel& kernel : kernels) {
+              std::vector<float> c = c0;
+              detail::packed_gemm_with_kernel(kernel, d, a.data(), b.data(), c.data());
+              EXPECT_TRUE(same_bits(c, expected))
+                  << kernel.mr << "x" << kernel.nr << " beta=" << beta << " n=" << n
+                  << " shared_a=" << shared_a << " ta=" << ta << " tb=" << tb;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
