@@ -25,6 +25,7 @@ void GenerativeModel::save(const std::string& path) {
 
 void GenerativeModel::load(const std::string& path) {
   validate_checkpoint_meta(nn::read_checkpoint_meta(path), path);
+  ++weights_version_;  // first: a load that throws midway has changed weights too
   nn::load_checkpoint(root_module(), path);
   on_loaded();
 }

@@ -6,6 +6,7 @@
 // boundary are normalized NCHW arrays (N, 1, S, S) in [-1, 1].
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -199,7 +200,13 @@ class GenerativeModel {
   }
 
   void save(const std::string& path);
+  /// Restores the weights in place and bumps weights_version().
   void load(const std::string& path);
+
+  /// Counts load() calls. Holders of derived weight state (the engines'
+  /// packed weight panels) drop it when the version moves; training in place
+  /// does not bump it, since no engine may wrap a model being trained.
+  std::uint64_t weights_version() const { return weights_version_; }
 
  protected:
   /// Hook invoked by load() after the checkpoint restored the module tree;
@@ -219,6 +226,9 @@ class GenerativeModel {
     (void)meta;
     (void)path;
   }
+
+ private:
+  std::uint64_t weights_version_ = 0;
 };
 
 /// GAN objective on PatchGAN logits: BCE-with-logits against an all-real /

@@ -45,6 +45,7 @@ void RequestBatcher::abort_with(const std::string& reason) {
     queued.swap(queue_);
     wedged.swap(wedged_batch_);
     in_flight_ = 0;
+    answered_ = 0;
     in_flight_oldest_ = std::chrono::steady_clock::time_point::max();
   }
   const auto error = std::make_exception_ptr(Error(reason));
@@ -146,19 +147,18 @@ void RequestBatcher::submit_async(std::vector<float> program_levels, std::uint64
   {
     std::lock_guard<std::mutex> lock(mutex_);
     FG_CHECK(!stop_, "RequestBatcher: submit after shutdown");
-    const bool full =
-        policy_.max_queue_depth > 0 && queue_.size() + in_flight_ >= policy_.max_queue_depth;
+    const bool full = policy_.max_queue_depth > 0 && admitted_locked() >= policy_.max_queue_depth;
     if (closed_ || full) {
       static stats::Counter& shed_total = stats::counter("serve.shed");
       shed_total.add();
       if (closed_) throw Overloaded("server is draining; not accepting new requests");
       std::ostringstream os;
-      os << "admission queue full (" << queue_.size() + in_flight_ << "/"
+      os << "admission queue full (" << admitted_locked() << "/"
          << policy_.max_queue_depth << ")";
       throw Overloaded(os.str());
     }
     queue_.push_back(std::move(pending));
-    depth = queue_.size() + in_flight_;
+    depth = admitted_locked();
   }
   if (metrics_ != nullptr) metrics_->record_enqueue(depth);
   static stats::Gauge& queue_depth = stats::gauge("serve.queue_depth");
@@ -168,7 +168,12 @@ void RequestBatcher::submit_async(std::vector<float> program_levels, std::uint64
 
 std::size_t RequestBatcher::outstanding() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + in_flight_;
+  return admitted_locked();
+}
+
+void RequestBatcher::release_slots(std::size_t count) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  answered_ = std::min(in_flight_, answered_ + count);
 }
 
 std::uint64_t RequestBatcher::oldest_outstanding_micros() const {
@@ -243,6 +248,7 @@ void RequestBatcher::run() {
     lock.lock();
 
     in_flight_ = 0;
+    answered_ = 0;
     in_flight_oldest_ = std::chrono::steady_clock::time_point::max();
     drained_.notify_all();
   }
@@ -261,6 +267,7 @@ void RequestBatcher::execute_batch(std::vector<Pending> batch) {
       if (now > p.deadline) {
         static stats::Counter& expired_total = stats::counter("serve.deadline_exceeded");
         expired_total.add();
+        release_slots(1);
         p.done({}, std::make_exception_ptr(DeadlineExceeded("deadline exceeded while queued")));
       } else {
         live.push_back(std::move(p));
@@ -319,6 +326,7 @@ void RequestBatcher::execute_batch(std::vector<Pending> batch) {
     consecutive_errors_.store(0);
     if (metrics_ != nullptr) metrics_->record_batch(batch.size());
 
+    release_slots(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       batch[i].done(std::vector<float>(
                         out.begin() + static_cast<std::ptrdiff_t>(i * row_elems),
@@ -327,6 +335,7 @@ void RequestBatcher::execute_batch(std::vector<Pending> batch) {
     }
   } catch (...) {
     consecutive_errors_.fetch_add(1);
+    release_slots(batch.size());
     for (Pending& p : batch) p.done({}, std::current_exception());
   }
 }

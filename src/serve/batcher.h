@@ -67,6 +67,8 @@ class ResponseFuture {
   /// Blocks for the response. On failure rethrows the typed error
   /// (Overloaded, DeadlineExceeded, or Error) with the original message.
   std::vector<float> get();
+  /// Blocks until the response (or failure) is ready, without consuming it.
+  void wait() const { inner_.wait(); }
 
  private:
   friend class RequestBatcher;
@@ -139,8 +141,9 @@ class RequestBatcher {
                     std::uint64_t deadline_micros, std::optional<data::Condition> condition,
                     Completion done);
 
-  /// Queued + in-flight requests right now; the replica dispatcher's
-  /// least-loaded signal.
+  /// Queued + in-flight requests right now, less those whose completion
+  /// has started; the replica dispatcher's least-loaded signal. A request
+  /// frees its admission slot before its completion runs.
   std::size_t outstanding() const;
 
   /// Age of the oldest request this batcher owns (queued or in flight), in
@@ -191,6 +194,12 @@ class RequestBatcher {
 
   void run();
   void execute_batch(std::vector<Pending> batch);
+  /// Frees the admission slots of `count` in-flight rows whose completions
+  /// are about to run.
+  void release_slots(std::size_t count);
+  /// Rows holding an admission slot (queued + in flight - answered). Caller
+  /// holds mutex_.
+  std::size_t admitted_locked() const { return queue_.size() + in_flight_ - answered_; }
 
   InferenceEngine& engine_;
   tensor::Shape row_shape_;
@@ -202,6 +211,9 @@ class RequestBatcher {
   std::condition_variable drained_;   // wakes drain() waiters
   std::deque<Pending> queue_;
   std::size_t in_flight_ = 0;  // rows handed to the engine, not yet fulfilled
+  // In-flight rows whose completion has run or is running: their admission
+  // slots are free again, so a caller woken by a completion can resubmit.
+  std::size_t answered_ = 0;
   /// Enqueue time of the oldest in-flight request; max() when nothing is in
   /// flight. Feeds oldest_outstanding_micros() while the executor is out of
   /// the lock (possibly wedged) executing a batch.

@@ -167,6 +167,11 @@ std::size_t ReplicaDispatcher::healthy_replicas() const {
   return healthy;
 }
 
+std::size_t ReplicaDispatcher::admission_capacity() const {
+  if (policy_.max_queue_depth == 0) return std::numeric_limits<std::size_t>::max();
+  return healthy_replicas() * policy_.max_queue_depth;
+}
+
 std::size_t ReplicaDispatcher::quarantined_replicas() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t quarantined = 0;

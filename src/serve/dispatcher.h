@@ -120,6 +120,9 @@ class ReplicaDispatcher {
   std::size_t outstanding() const;
   /// Replicas currently routable (not quarantined, batcher present).
   std::size_t healthy_replicas() const;
+  /// Requests the fleet admits at once right now: healthy_replicas() x
+  /// max_queue_depth, or SIZE_MAX when the queues are unbounded.
+  std::size_t admission_capacity() const;
   /// Replicas currently quarantined awaiting restart.
   std::size_t quarantined_replicas() const;
   /// Lifetime quarantine / successful-restart transition counts.

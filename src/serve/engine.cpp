@@ -25,6 +25,19 @@ InferenceEngine::InferenceEngine(models::GenerativeModel& model) : model_(model)
   model_.prepare_generation();
 }
 
+template <class Forward>
+Tensor InferenceEngine::run_forward(std::size_t rows, Forward&& forward) {
+  FG_TRACE_SPAN("serve.infer", "serve");
+  tensor::InferenceModeGuard inference;
+  const tensor::WeightPanelCache::Scope panels(panels_, model_.weights_version());
+  Tensor out = forward();
+  ++stats_.batches;
+  stats_.rows += rows;
+  static stats::Counter& rows_total = stats::counter("serve.rows_inferred");
+  rows_total.add(rows);
+  return out;
+}
+
 void InferenceEngine::warmup(const Tensor& pl, int rounds) {
   const auto n = static_cast<std::size_t>(pl.shape()[0]);
   std::vector<flashgen::Rng> rngs;
@@ -41,14 +54,7 @@ Tensor InferenceEngine::sample_rows(const Tensor& pl, std::span<flashgen::Rng> r
   FG_CHECK(pl.defined() && pl.shape().rank() >= 1 &&
                static_cast<std::size_t>(pl.shape()[0]) == rngs.size(),
            "InferenceEngine: " << rngs.size() << " streams for batch " << pl.shape());
-  FG_TRACE_SPAN("serve.infer", "serve");
-  tensor::InferenceModeGuard inference;
-  Tensor out = model_.sample_rows(pl, rngs);
-  ++stats_.batches;
-  stats_.rows += rngs.size();
-  static stats::Counter& rows_total = stats::counter("serve.rows_inferred");
-  rows_total.add(rngs.size());
-  return out;
+  return run_forward(rngs.size(), [&] { return model_.sample_rows(pl, rngs); });
 }
 
 void InferenceEngine::generate_into(const Tensor& pl, std::span<flashgen::Rng> rngs,
@@ -69,14 +75,7 @@ Tensor InferenceEngine::sample_rows_at(const Tensor& pl,
                                << " conditions for batch " << pl.shape());
   FG_CHECK(model_.condition_aware(),
            "InferenceEngine: model " << model_.name() << " does not accept conditions");
-  FG_TRACE_SPAN("serve.infer", "serve");
-  tensor::InferenceModeGuard inference;
-  Tensor out = model_.sample_rows_at(pl, conditions, rngs);
-  ++stats_.batches;
-  stats_.rows += rngs.size();
-  static stats::Counter& rows_total = stats::counter("serve.rows_inferred");
-  rows_total.add(rngs.size());
-  return out;
+  return run_forward(rngs.size(), [&] { return model_.sample_rows_at(pl, conditions, rngs); });
 }
 
 void InferenceEngine::generate_into_at(const Tensor& pl,

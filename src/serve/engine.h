@@ -13,15 +13,22 @@
 // model.generate(row_i, rng_i) bit-for-bit when rng_i starts from the same
 // state as rngs[i].
 //
+// Weight-stationary: each engine keeps its conv weights' packed GEMM panels
+// (tensor::WeightPanelCache) across calls instead of re-packing them on every
+// forward, at most two layouts per conv layer. Panels are per engine, never
+// shared between replicas, and GenerativeModel::load() invalidates them: the
+// next call after a load repacks from the new weights.
+//
 // Threading: an engine instance is not thread-safe; the request batcher runs
 // one executor thread per engine. The model must not be trained while an
-// engine wraps it.
+// engine wraps it (its cached panels would go stale).
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "models/generative_model.h"
+#include "tensor/weight_panels.h"
 #include "tensor/workspace.h"
 
 namespace flashgen::serve {
@@ -65,10 +72,18 @@ class InferenceEngine {
 
   const EngineStats& stats() const { return stats_; }
   models::GenerativeModel& model() { return model_; }
+  /// The packed conv-weight panels this engine keeps (a test probe).
+  const tensor::WeightPanelCache& weight_panels() const { return panels_; }
 
  private:
+  /// Runs `forward` in inference mode with this engine's panels installed,
+  /// then counts the batch.
+  template <class Forward>
+  Tensor run_forward(std::size_t rows, Forward&& forward);
+
   models::GenerativeModel& model_;
   EngineStats stats_;
+  tensor::WeightPanelCache panels_;
 };
 
 }  // namespace flashgen::serve

@@ -1,5 +1,6 @@
 #include "serve/threshold_service.h"
 
+#include <algorithm>
 #include <future>
 #include <sstream>
 #include <utility>
@@ -12,19 +13,31 @@ namespace flashgen::serve {
 std::vector<std::vector<float>> DispatcherSampler::sample(
     std::span<const thresholds::RowRequest> rows, std::uint64_t seed,
     const data::Condition& condition) {
-  // Fan the wave out across the fleet, then collect in request order. Each
-  // row's voltages depend only on (weights, PL row, seed, stream, condition),
-  // so the routing decisions are invisible in the result. A shed or failed
-  // row throws out of get() and fails the whole query, typed.
+  // Spread the wave across the fleet and collect in request order, keeping at
+  // most the fleet's admission capacity of this query's rows outstanding, so
+  // a wave wider than the queues runs in turns instead of shedding its own
+  // tail. Each row's voltages depend only on (weights, PL row, seed, stream,
+  // condition), so the routing is invisible in the result. A shed or failed
+  // row fails the whole query, typed: nothing more is submitted, and the
+  // rows already admitted are waited for before the error propagates, so no
+  // row of a refused query runs after its answer.
+  const std::size_t window = std::max<std::size_t>(1, dispatcher_.admission_capacity());
   std::vector<ResponseFuture> futures;
   futures.reserve(rows.size());
-  for (const auto& row : rows) {
-    futures.push_back(dispatcher_.submit(row.program_levels, seed, row.stream,
-                                         /*deadline_micros=*/0, condition));
-  }
   std::vector<std::vector<float>> out;
   out.reserve(rows.size());
-  for (auto& future : futures) out.push_back(future.get());
+  std::size_t next = 0;  // the next future to collect
+  try {
+    for (const auto& row : rows) {
+      if (futures.size() - next == window) out.push_back(futures[next++].get());
+      futures.push_back(dispatcher_.submit(row.program_levels, seed, row.stream,
+                                           /*deadline_micros=*/0, condition));
+    }
+    while (next < futures.size()) out.push_back(futures[next++].get());
+  } catch (...) {
+    for (std::size_t i = next; i < futures.size(); ++i) futures[i].wait();
+    throw;
+  }
   return out;
 }
 

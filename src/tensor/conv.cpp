@@ -221,7 +221,9 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, Index stride,
   // Forward, training and serving alike: strided im2col lays sample s into
   // columns [s*osp, (s+1)*osp) of one (CKK, N*osp) matrix, and a single
   // strided-batched GEMM (shared weight, stride_a = 0) writes every sample's
-  // output plane directly into y, so the weight is packed once per batch.
+  // output plane directly into y, so the weight is packed once per batch
+  // (once per engine under an installed WeightPanelCache: it is marked
+  // constant_a).
   // The per-item shape (OC, osp, CKK) does not depend on N, so a sample's
   // bits are the same alone or in any batch: a coalesced request matches the
   // same request served alone.
@@ -242,6 +244,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, Index stride,
   d.batch_count = g.n;
   d.stride_b = osp;
   d.stride_c = g.oc * osp;
+  d.constant_a = true;
   sgemm_strided_batched(d, w.data().data(), cols.data(), y.data().data());
   if (b.defined()) y = add_bias(std::move(y), b);
   return y;
@@ -322,7 +325,8 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b, Index
   // Forward, training and serving alike: cols[s] (OCKK, isp) =
   // W_mat^T (OCKK, C) * X[s] (C, isp) as one strided-batched GEMM that reads
   // every sample's input in place (shared transposed weight, stride_a = 0,
-  // packed once per batch), then Y[s] = col2im(cols[s]). The per-item shape
+  // packed once per batch, or once per engine under an installed
+  // WeightPanelCache), then Y[s] = col2im(cols[s]). The per-item shape
   // does not depend on N, so the bits are identical whether a sample runs
   // alone or in a batch. y is NOT marked fully_overwritten: col2im
   // accumulates into the zeroed output.
@@ -338,6 +342,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b, Index
   d.batch_count = n;
   d.stride_b = c * isp;
   d.stride_c = ockk * isp;
+  d.constant_a = true;
   sgemm_strided_batched(d, w.data().data(), x.data().data(), cols.data());
   common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
     for (Index s = s0; s < s1; ++s)

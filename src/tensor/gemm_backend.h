@@ -24,7 +24,10 @@
 //     must be accumulated in a fixed order that depends only on the
 //     per-item descriptor (m, n, k, beta) — never on thread count, batch
 //     size or position, leading strides, or (for the packed backend) the
-//     host's tile shape or the tile column a shared-A batch folds it into.
+//     host's tile shape, the tile column a shared-A batch folds it into, or
+//     the tile's orientation: the packed backend may run a narrow folded
+//     batch sideways (tile rows over the folded columns, see gemm_packed.cpp)
+//     and may reuse cached A panels (constant_a), but the chain is the same.
 //   * beta == 0 overwrites C without reading it (NaN-poisoned C stays inert),
 //     beta == 1 adds, anything else scales-and-adds.
 //   * Every C element is one FMA chain that starts at beta * C (+0 at
@@ -62,6 +65,12 @@ struct GemmDesc {
   std::int64_t stride_a = 0;
   std::int64_t stride_b = 0;
   std::int64_t stride_c = 0;
+  /// A is a weight that stays unchanged while a WeightPanelCache is
+  /// installed on the calling thread (weight_panels.h); the conv forwards set
+  /// it. The packed backend may then reuse A's packed panels from the cache
+  /// when A is shared (stride_a == 0). Other backends ignore it; bits never
+  /// depend on it.
+  bool constant_a = false;
 };
 
 /// A GEMM implementation. Implementations must be stateless or internally

@@ -2,26 +2,41 @@
 // panels, then sweep register tiles over them with the widest FMA microkernel
 // the host supports. Three deterministic-parallel phases per call:
 //
-//   1. pack A  — (view, row-strip) chunks write disjoint [k][mr] panels with
-//                alpha folded in and tail rows zero-padded;
-//   2. pack B  — (view, col-strip) chunks write disjoint [k][nr] panels with
-//                tail columns zero-padded;
-//   3. macro   — (view, col-strip, row-strip) tiles start the accumulator at
+//   1. pack A  — (view, A-strip) chunks write disjoint panels of A's rows
+//                with alpha folded in and tail rows zero-padded;
+//   2. pack B  — (view, B-strip) chunks write disjoint panels of op(B)'s
+//                columns with tail columns zero-padded;
+//   3. macro   — (view, B-strip, A-strip) tiles start the accumulator at
 //                beta * C, run the microkernel and copy it back to C.
 //
 // A shared A (stride_a == 0, the conv weight) is packed once and the batch
 // folds into columns: column J of one virtual (k, batch*n) op(B) is column
-// J % n of item J / n, so a batch of 1-column items fills whole tiles. Every
-// phase partitions by shape (and tile config) only, and each C element is
-// produced by exactly one tile as a single full-k FMA chain, so results are
-// bit-identical across thread counts, batched-vs-looped calls, leading
-// strides, and — because the chain never changes — both ISAs' kernels.
-// That chain is the reference loop nest's (scale C by beta, then one FMA per
-// k in increasing order), so problems too small to amortize packing can fall
-// back to it without changing bits; the decision depends only on the
-// per-item (m, n, k).
+// J % n of item J / n, so a batch of 1-column items fills whole tiles.
+//
+// Orientation: normally A's rows are the tile rows (A panels [k][mr]) and
+// B's columns the tile columns (B panels [k][nr]). When a shared A's folded
+// width batch*n is below nr (the innermost U-Net layers: one column per
+// item), the tile runs sideways: the folded columns become the tile rows (B
+// panels [k][mr]), A's rows the tile columns (A panels [k][nr]), and the
+// accumulator is filled from and written to C transposed. The kernel's
+// product is exact and commutative, so each element's FMA chain is the same.
+//
+// A GEMM marked constant_a with a shared A reuses its packed A panels from
+// the WeightPanelCache installed on the calling thread, if any (see
+// weight_panels.h); a miss packs into cache-owned storage.
+//
+// Every phase partitions by shape (and tile config) only, and each C element
+// is produced by exactly one tile as a single full-k FMA chain, so results
+// are bit-identical across thread counts, batched-vs-looped calls, leading
+// strides, orientations, cached or fresh panels, and — because the chain
+// never changes — both ISAs' kernels. That chain is the reference loop
+// nest's (scale C by beta, then one FMA per k in increasing order), so
+// problems too small to amortize packing can fall back to it without
+// changing bits; the decision depends only on the per-item (m, n, k).
 #include <algorithm>
+#include <bit>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/error.h"
@@ -29,6 +44,7 @@
 #include "tensor/gemm_backend.h"
 #include "tensor/gemm_packed.h"
 #include "tensor/gemm_util.h"
+#include "tensor/weight_panels.h"
 #include "tensor/workspace.h"
 
 namespace flashgen::tensor {
@@ -118,25 +134,33 @@ void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t v, std::int64_
 }
 
 // acc tile <- beta * C (C itself at beta == 1): the chain's start, exactly
-// the reference loop's scale_rows. Never called at beta == 0, which leaves
-// the zeroed tile and never reads C (poisoned C stays inert).
-void read_tile(const float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols,
-               float beta, float* acc, std::int64_t nr) {
+// the reference loop's scale_rows. acc[r][j] starts the chain of the C
+// element at c[r * rs + j * cs], so one routine serves both orientations.
+// Never called at beta == 0, which leaves the zeroed tile and never reads C
+// (poisoned C stays inert).
+void read_tile(const float* c, std::int64_t rs, std::int64_t cs, std::int64_t rows,
+               std::int64_t cols, float beta, float* acc, std::int64_t nr) {
   for (std::int64_t r = 0; r < rows; ++r) {
-    const float* crow = c + r * ldc;
+    const float* crow = c + r * rs;
     float* arow = acc + r * nr;
-    if (beta == 1.0f) {
-      std::copy_n(crow, cols, arow);
-    } else {
-      for (std::int64_t j = 0; j < cols; ++j) arow[j] = beta * crow[j];
-    }
+    for (std::int64_t j = 0; j < cols; ++j)
+      arow[j] = beta == 1.0f ? crow[j * cs] : beta * crow[j * cs];
   }
 }
 
-// C tile <- acc; padded accumulator rows/columns are simply not written.
+// C tile <- acc over the same mapping; padded accumulator rows/columns are
+// simply not written.
 void write_tile(const float* acc, std::int64_t nr, std::int64_t rows, std::int64_t cols,
-                float* c, std::int64_t ldc) {
-  for (std::int64_t r = 0; r < rows; ++r) std::copy_n(acc + r * nr, cols, c + r * ldc);
+                float* c, std::int64_t rs, std::int64_t cs) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* arow = acc + r * nr;
+    float* crow = c + r * rs;
+    if (cs == 1) {
+      std::copy_n(arow, cols, crow);
+    } else {
+      for (std::int64_t j = 0; j < cols; ++j) crow[j * cs] = arow[j];
+    }
+  }
 }
 
 // Grain helpers: all a function of shape + tile config only, never of the
@@ -165,60 +189,106 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const
   const std::int64_t views = fold ? 1 : batch;
   const std::int64_t width = fold ? batch * n : n;
   const std::int64_t b_views = fold || d.stride_b == 0 ? 1 : batch;
-  const std::int64_t m_strips = (m + mr - 1) / mr;
-  const std::int64_t n_strips = (width + nr - 1) / nr;
-  const std::int64_t pa_strip = mr * k, pb_strip = nr * k;
+  // A folded width below nr would leave most tile columns empty, so the tile
+  // turns sideways: its rows take the folded columns (B panels mr wide) and
+  // its columns take A's rows (A panels nr wide). The kernel's exact product
+  // commutes, so every C element is still the same chain.
+  const bool sideways = fold && width < nr;
+  const std::int64_t a_wide = sideways ? nr : mr, b_wide = sideways ? mr : nr;
+  const std::int64_t a_strips = (m + a_wide - 1) / a_wide;
+  const std::int64_t b_strips = (width + b_wide - 1) / b_wide;
+  const std::int64_t pa_strip = a_wide * k, pb_strip = b_wide * k;
 
-  ScratchBuffer pa(static_cast<std::size_t>(views) * m_strips * pa_strip);
-  ScratchBuffer pb(static_cast<std::size_t>(b_views) * n_strips * pb_strip);
+  const auto pack_a = [&](float* dst) {
+    common::parallel_for(0, views * a_strips, pack_grain(pa_strip),
+                         [&](std::int64_t t0, std::int64_t t1) {
+                           for (std::int64_t t = t0; t < t1; ++t) {
+                             const std::int64_t v = t / a_strips, i0 = (t % a_strips) * a_wide;
+                             pack_a_strip(d, a + v * d.stride_a, i0, std::min(a_wide, m - i0),
+                                          a_wide, dst + t * pa_strip);
+                           }
+                         });
+  };
+  // A marked constant weight keeps its panels in the thread's cache, if one
+  // is installed; anything else is packed into scratch on every call.
+  WeightPanelCache* const cache =
+      d.constant_a && fold ? WeightPanelCache::installed() : nullptr;
+  std::optional<ScratchBuffer> pa_scratch;
+  const float* pa = nullptr;
+  if (cache != nullptr) {
+    const WeightPanelCache::Key key{a,
+                                    d.trans_a,
+                                    m,
+                                    k,
+                                    d.lda,
+                                    std::bit_cast<std::uint32_t>(d.alpha),
+                                    kernel.mr,
+                                    kernel.nr,
+                                    sideways};
+    pa = cache->find(key);
+    if (pa == nullptr) {
+      float* fresh = cache->insert(key, static_cast<std::size_t>(a_strips * pa_strip));
+      pack_a(fresh);
+      pa = fresh;
+    }
+  } else {
+    pa_scratch.emplace(static_cast<std::size_t>(views) * a_strips * pa_strip);
+    pack_a(pa_scratch->data());
+    pa = pa_scratch->data();
+  }
 
-  common::parallel_for(0, views * m_strips, pack_grain(pa_strip),
+  ScratchBuffer pb(static_cast<std::size_t>(b_views) * b_strips * pb_strip);
+  common::parallel_for(0, b_views * b_strips, pack_grain(pb_strip),
                        [&](std::int64_t t0, std::int64_t t1) {
                          for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t v = t / m_strips, i0 = (t % m_strips) * mr;
-                           pack_a_strip(d, a + v * d.stride_a, i0, std::min(mr, m - i0), mr,
-                                        pa.data() + t * pa_strip);
-                         }
-                       });
-  common::parallel_for(0, b_views * n_strips, pack_grain(pb_strip),
-                       [&](std::int64_t t0, std::int64_t t1) {
-                         for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t v = t / n_strips, j0 = (t % n_strips) * nr;
-                           pack_b_strip(d, b, v, j0, std::min(nr, width - j0), nr,
+                           const std::int64_t v = t / b_strips, j0 = (t % b_strips) * b_wide;
+                           pack_b_strip(d, b, v, j0, std::min(b_wide, width - j0), b_wide,
                                         pb.data() + t * pb_strip);
                          }
                        });
 
-  // Tiles run row strips fastest, so one B panel is reused across all of A.
+  // Tiles run A strips fastest, so one B panel is reused across all of A.
   // A tile's accumulator starts at beta * C over its item runs (0 in the
-  // padding) and is copied back over them after the kernel.
-  const std::int64_t tiles = n_strips * m_strips;
+  // padding) and is copied back over them after the kernel; sideways, a run
+  // is a band of accumulator rows and C is read and written transposed.
+  const std::int64_t tiles = b_strips * a_strips;
   common::parallel_for(0, views * tiles, macro_grain(mr * nr * k), [&](std::int64_t t0,
                                                                       std::int64_t t1) {
     alignas(64) float acc[kMaxTileElems];
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t v = t / tiles, js = (t % tiles) / m_strips, is = t % m_strips;
-      const std::int64_t i0 = is * mr, j0 = js * nr, rows = std::min(mr, m - i0);
+      const std::int64_t v = t / tiles, bs = (t % tiles) / a_strips, as = t % a_strips;
+      const std::int64_t i0 = as * a_wide, j0 = bs * b_wide, rows = std::min(a_wide, m - i0);
       const std::int64_t vb = b_views == 1 ? 0 : v;
-      // fn(C block, accumulator block, columns) for each item run of the tile.
+      const float* a_panel = pa + (v * a_strips + as) * pa_strip;
+      const float* b_panel = pb.data() + (vb * b_strips + bs) * pb_strip;
+      // fn(C block, accumulator block, acc rows, acc columns, C stride per
+      // acc row, C stride per acc column) for each item run of the tile.
       const auto each_run = [&](auto&& fn) {
-        for_each_item_run(n, v, j0, std::min(nr, width - j0),
+        for_each_item_run(n, v, j0, std::min(b_wide, width - j0),
                           [&](std::int64_t item, std::int64_t col, std::int64_t j,
                               std::int64_t run) {
-                            fn(c + item * d.stride_c + i0 * d.ldc + col, acc + j, run);
+                            float* cb = c + item * d.stride_c + i0 * d.ldc + col;
+                            if (sideways) {
+                              fn(cb, acc + j * nr, run, rows, std::int64_t{1}, d.ldc);
+                            } else {
+                              fn(cb, acc + j, rows, run, d.ldc, std::int64_t{1});
+                            }
                           });
       };
       std::fill_n(acc, mr * nr, 0.0f);
       if (d.beta != 0.0f) {
-        each_run([&](const float* cb, float* ab, std::int64_t run) {
-          read_tile(cb, d.ldc, rows, run, d.beta, ab, nr);
+        each_run([&](const float* cb, float* ab, std::int64_t r, std::int64_t cols,
+                     std::int64_t rs, std::int64_t cs) {
+          read_tile(cb, rs, cs, r, cols, d.beta, ab, nr);
         });
       }
-      kernel.run(k, pa.data() + (v * m_strips + is) * pa_strip,
-                 pb.data() + (vb * n_strips + js) * pb_strip, acc);
-      each_run([&](float* cb, const float* ab, std::int64_t run) {
-        write_tile(ab, nr, rows, run, cb, d.ldc);
-      });
+      if (sideways) {
+        kernel.run(k, b_panel, a_panel, acc);
+      } else {
+        kernel.run(k, a_panel, b_panel, acc);
+      }
+      each_run([&](float* cb, const float* ab, std::int64_t r, std::int64_t cols,
+                   std::int64_t rs, std::int64_t cs) { write_tile(ab, nr, r, cols, cb, rs, cs); });
     }
   });
 }

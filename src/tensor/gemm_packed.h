@@ -12,7 +12,9 @@
 // beta * C over the full k range, the result bits are identical for every
 // kernel (any mr/nr, 256-bit or 512-bit lanes), so the host's ISA decides
 // speed, never bits; and the chain is the reference loop nest's, so the
-// backends agree too.
+// backends agree too. The same holds when the backend swaps the roles of A
+// and B in a tile (the sideways orientation, gemm_packed.cpp): the kernel
+// then computes acc[r][j] += pb'[p][r] * pa'[p][j], the same exact product.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,9 @@ struct MicroKernel {
 /// first. Empty when AVX2+FMA is missing; stable for the process lifetime.
 std::span<const MicroKernel> packed_kernels();
 
-/// Runs `desc` through the packed path with an explicit kernel.
+/// Runs `desc` through the packed path with an explicit kernel: sideways
+/// when a shared A's folded width batch*n is below kernel.nr, and with A's
+/// panels from the calling thread's WeightPanelCache when desc.constant_a.
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, const float* a,
                              const float* b, float* c);
 

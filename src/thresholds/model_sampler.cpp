@@ -41,6 +41,7 @@ std::vector<std::vector<float>> ModelSampler::sample(std::span<const RowRequest>
   }
 
   tensor::InferenceModeGuard inference;
+  const tensor::WeightPanelCache::Scope panels(panels_, model_.weights_version());
   const tensor::Tensor generated = model_.sample_rows_at(pl, conditions, rngs);
   FG_CHECK(generated.data().size() == rows.size() * cells,
            "ModelSampler: model returned " << generated.data().size() << " floats for "

@@ -5,9 +5,14 @@
 // requested condition (per-sample batch-norm statistics), so voltages are a
 // pure function of (weights, PL row, seed, stream, condition) and reports
 // match the fleet bit-for-bit at any batching.
+//
+// Like a serving engine, the sampler keeps its conv weights' packed GEMM
+// panels across calls (tensor::WeightPanelCache), dropped when the model's
+// weights_version() moves.
 #pragma once
 
 #include "models/generative_model.h"
+#include "tensor/weight_panels.h"
 #include "thresholds/optimizer.h"
 
 namespace flashgen::thresholds {
@@ -24,6 +29,7 @@ class ModelSampler : public ChannelSampler {
 
  private:
   models::GenerativeModel& model_;
+  tensor::WeightPanelCache panels_;
 };
 
 }  // namespace flashgen::thresholds

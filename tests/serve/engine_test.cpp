@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "models/gaussian_model.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
+#include "tensor/gemm_backend.h"
 #include "tensor/workspace.h"
 
 namespace flashgen::serve {
@@ -203,6 +205,86 @@ TEST_F(EngineTest, RegistryLoadsCheckpointBitIdentical) {
     EXPECT_THROW(registry.at("missing"), Error);
     std::remove(path.c_str());
   }
+}
+
+// ---- packed weight panels ---------------------------------------------------
+//
+// At the served geometry (side 16, 16 base channels, seeded untrained
+// weights) every U-Net convolution runs the packed GEMM, so an engine keeps
+// its weights' packed panels across calls. Under the reference backend the
+// cache stays empty and these tests only check the served bits.
+
+models::NetworkConfig served_network() {
+  models::NetworkConfig network;
+  network.array_size = 16;
+  network.base_channels = 16;
+  network.z_dim = 8;
+  return network;
+}
+
+Tensor served_pl(std::size_t rows) {
+  std::vector<float> levels(rows * 16 * 16);
+  flashgen::Rng rng(100);
+  for (float& v : levels) v = -1.0f + 0.25f * static_cast<float>(rng.uniform_int(8));
+  return Tensor::from_data(Shape({static_cast<tensor::Index>(rows), 1, 16, 16}),
+                           std::move(levels));
+}
+
+std::vector<float> served_rows(InferenceEngine& engine, const Tensor& pl) {
+  std::vector<flashgen::Rng> rngs;
+  for (tensor::Index i = 0; i < pl.shape()[0]; ++i)
+    rngs.push_back(flashgen::Rng::from_stream(42, static_cast<std::uint64_t>(i)));
+  std::vector<float> out(static_cast<std::size_t>(pl.numel()));
+  engine.generate_into(pl, rngs, out);
+  return out;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+bool packed_backend() { return tensor::gemm_backend_name() != "reference"; }
+
+// load() rewrites the weights in place, behind the same pointers the panels
+// are keyed by: the next forward must repack, and equal a fresh engine on
+// the loaded weights bit for bit.
+TEST(EngineWeightPanels, LoadInvalidatesPackedPanels) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("flashgen_engine_panels_" + std::to_string(::getpid()) + ".ckpt");
+  auto other = core::make_model(core::ModelKind::CvaeGan, served_network(), /*seed=*/8);
+  other->save(path.string());
+  auto served = core::make_model(core::ModelKind::CvaeGan, served_network(), /*seed=*/7);
+  InferenceEngine engine(*served);
+  const Tensor pl = served_pl(4);
+  const std::vector<float> before = served_rows(engine, pl);
+  if (packed_backend()) {
+    EXPECT_GT(engine.weight_panels().size(), 0u);
+  }
+
+  engine.model().load(path.string());
+  const std::vector<float> reloaded = served_rows(engine, pl);
+  InferenceEngine fresh(*other);
+  EXPECT_TRUE(same_bits(reloaded, served_rows(fresh, pl)));
+  EXPECT_FALSE(same_bits(reloaded, before));
+  std::filesystem::remove(path);
+}
+
+// A conv layer keeps at most two panel layouts (one per tile orientation),
+// so forwards at every batch size fill the cache to a fixed size. Batch 1
+// packs each packed conv layer exactly once (all sideways).
+TEST(EngineWeightPanels, AtMostTwoPanelsPerConvLayer) {
+  auto model = core::make_model(core::ModelKind::CvaeGan, served_network(), /*seed=*/7);
+  InferenceEngine engine(*model);
+  (void)served_rows(engine, served_pl(1));
+  const std::size_t layers = engine.weight_panels().size();
+  if (packed_backend()) {
+    EXPECT_GT(layers, 0u);
+  }
+  for (std::size_t rows = 1; rows <= 8; ++rows) (void)served_rows(engine, served_pl(rows));
+  const std::size_t filled = engine.weight_panels().size();
+  EXPECT_LE(filled, 2 * layers);
+  for (std::size_t rows = 1; rows <= 8; ++rows) (void)served_rows(engine, served_pl(rows));
+  EXPECT_EQ(engine.weight_panels().size(), filled);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 // cache-warm (modulo the from_cache flag, which only reports provenance).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -197,32 +199,81 @@ TEST(ThresholdServe, ServiceAdmissionShedCountsOnce) {
 
 // A threshold query whose sampling is shed by a full fleet queue answers
 // kOverloaded. The shed counts once, where the batcher refused the row: the
-// top-level "shed" and process.counters["serve.shed"] move together.
+// top-level "shed" and process.counters["serve.shed"] move together. The
+// query waits for the rows it already had admitted before it answers, so
+// serve.rows_inferred does not move after the answer.
 TEST(ThresholdServe, FleetShedDuringQueryCountsOnce) {
   ModelRegistry registry;
   registry.add("Temporal", temporal_model(), Shape({1, kSide, kSide}), /*warmup_batch=*/2);
   const std::string socket_path = unique_socket("");
   ServerOptions options = small_options(socket_path);
-  options.policy.max_batch_size = 1;
-  options.policy.max_queue_depth = 1;  // the wave's second row finds the queue full
+  options.policy.max_queue_depth = 2;
+  // Under 8 rows a batch stays open this long, so the slots stay taken.
+  options.policy.max_wait_micros = 1'000'000;
   Server server(registry, options);
   server.start();
 
   Client client(socket_path);
   const std::string before = client.stats();
+  // A generate takes the first of the two slots ...
+  std::thread generator([&socket_path] {
+    Client other(socket_path);
+    GenerateRequest generate;
+    generate.model = "Temporal";
+    generate.seed = 3;
+    generate.side = kSide;
+    generate.program_levels.assign(kSide * kSide, 0.0f);
+    EXPECT_EQ(other.generate(generate).voltages.size(), static_cast<std::size_t>(kSide) * kSide);
+  });
+  while (metrics_count(client.stats(), "queue_depth_peak") < 1)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // ... the query's first row the second, and its second row is shed.
   try {
     (void)client.threshold_query(worn_query());
-    FAIL() << "the fleet admitted a whole sampling wave past its queue bound";
+    FAIL() << "the fleet admitted a sampling row past its queue bound";
   } catch (const Overloaded& e) {
-    EXPECT_NE(std::string(e.what()).find("admission queue full (1/1)"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("admission queue full (2/2)"), std::string::npos)
         << e.what();
   }
+  const std::string answered = client.stats();
+  generator.join();
   const std::string after = client.stats();
+  // The generate and the query's admitted row ran (as one batch) before the
+  // answer, and nothing ran after it.
+  EXPECT_EQ(process_count(answered, "serve.rows_inferred"),
+            process_count(before, "serve.rows_inferred") + 2)
+      << answered;
+  EXPECT_EQ(process_count(after, "serve.rows_inferred"),
+            process_count(answered, "serve.rows_inferred"))
+      << after;
   EXPECT_EQ(metrics_count(after, "shed"), metrics_count(before, "shed") + 1) << after;
   EXPECT_EQ(process_count(after, "serve.shed"), process_count(before, "serve.shed") + 1)
       << after;
   EXPECT_EQ(metrics_count(after, "shed"), process_count(after, "serve.shed")) << after;
   server.drain_and_stop();
+}
+
+// A fleet whose queues are shallower than a sampling wave still answers: the
+// query keeps at most the admission capacity of its rows outstanding, and
+// the report is the one an unbounded fleet gives.
+TEST(ThresholdServe, QuerySucceedsWithQueueShallowerThanItsWave) {
+  std::vector<ThresholdResponse> responses;
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{1}}) {
+    ModelRegistry registry;
+    registry.add("Temporal", temporal_model(), Shape({1, kSide, kSide}), /*warmup_batch=*/2);
+    const std::string socket_path = unique_socket("_d" + std::to_string(depth));
+    ServerOptions options = small_options(socket_path);
+    options.policy.max_queue_depth = depth;  // 0: unbounded
+    ASSERT_LT(depth, static_cast<std::size_t>(options.threshold.optimizer.batch_rows));
+    Server server(registry, options);
+    server.start();
+    Client client(socket_path);
+    const std::string before = client.stats();
+    responses.push_back(client.threshold_query(worn_query()));
+    EXPECT_EQ(metrics_count(client.stats(), "shed"), metrics_count(before, "shed"));
+    server.drain_and_stop();
+  }
+  expect_same_bits(responses[0], responses[1], "queue depth 1 vs unbounded");
 }
 
 // The acceptance bar: one wear-state query answered bit-identically whatever

@@ -17,7 +17,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -26,6 +28,7 @@
 #include "tensor/gemm.h"
 #include "tensor/gemm_packed.h"
 #include "tensor/gemm_util.h"
+#include "tensor/weight_panels.h"
 
 namespace flashgen::tensor {
 namespace {
@@ -447,8 +450,13 @@ TEST(GemmPackedKernels, DeepUnetLayersTakeThePackedPath) {
 // FMA per k in increasing order. Covers the shapes the fallback rule once
 // kept off the packed path (beta != 0 with 1-7 column items), shared and
 // per-item A, both transposes, and non-tight ldc and stride_c, which the
-// macro phase now reads. Like the golden digests, this needs a build that
-// contracts the reference loop's multiply-add into an FMA.
+// macro phase reads. Shared-A batches fold to widths on both sides of each
+// kernel's sideways switch (batch * n < nr): one and two tile-row strips
+// (8 and 15 at mr = 14) and nr - 1, nr, nr + 1, as batches of 1-column
+// items and of wider items. Each case runs without a panel cache and twice
+// with one installed and A marked constant_a, a miss and then a hit. Like
+// the golden digests, this needs a build that contracts the reference
+// loop's multiply-add into an FMA.
 TEST(GemmPackedKernels, EveryKernelMatchesReferenceBitwise) {
 #ifndef __FMA__
   GTEST_SKIP() << "build does not contract multiply-adds into FMAs";
@@ -456,44 +464,106 @@ TEST(GemmPackedKernels, EveryKernelMatchesReferenceBitwise) {
   const auto kernels = detail::packed_kernels();
   if (kernels.empty()) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
   flashgen::Rng rng(1729);
-  for (const float beta : {0.0f, 1.0f, 0.5f, -2.0f}) {
-    for (const int n : {1, 4, 7, 56}) {
-      for (const bool shared_a : {true, false}) {
-        for (const bool ta : {false, true}) {
-          for (const bool tb : {false, true}) {
-            GemmDesc d;
-            d.trans_a = ta;
-            d.trans_b = tb;
-            d.m = 37;
-            d.n = n;
-            d.k = 51;
-            d.alpha = 1.25f;
-            d.beta = beta;
-            d.lda = (ta ? d.m : d.k) + 1;
-            d.ldb = (tb ? d.k : d.n) + 3;
-            d.ldc = d.n + 2;
-            d.batch_count = 3;
-            d.stride_a = shared_a ? 0 : (ta ? d.k : d.m) * d.lda + 1;
-            d.stride_b = (tb ? d.n : d.k) * d.ldb + 2;
-            d.stride_c = d.m * d.ldc + 5;
-            std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
-            fill_normal(a, rng);
-            fill_normal(b, rng);
-            fill_normal(c0, rng);
-            std::vector<float> expected = c0;
-            detail::reference_gemm(d, a.data(), b.data(), expected.data());
-            for (const detail::MicroKernel& kernel : kernels) {
-              std::vector<float> c = c0;
-              detail::packed_gemm_with_kernel(kernel, d, a.data(), b.data(), c.data());
-              EXPECT_TRUE(same_bits(c, expected))
-                  << kernel.mr << "x" << kernel.nr << " beta=" << beta << " n=" << n
-                  << " shared_a=" << shared_a << " ta=" << ta << " tb=" << tb;
+  for (const detail::MicroKernel& kernel : kernels) {
+    // (batch_count, n) pairs.
+    std::vector<std::pair<int, int>> shapes = {{3, 1}, {3, 4}, {3, 7}, {3, 56}};
+    for (const int width : {8, 15, kernel.nr - 1, kernel.nr, kernel.nr + 1}) {
+      shapes.emplace_back(width, 1);
+      for (int n = 2; n < width; ++n) {
+        if (width % n == 0) {
+          shapes.emplace_back(width / n, n);
+          break;
+        }
+      }
+    }
+    for (const float beta : {0.0f, 1.0f, 0.5f, -2.0f}) {
+      for (const float alpha : {1.0f, -0.75f}) {
+        for (const auto& [batch, n] : shapes) {
+          for (const bool shared_a : {true, false}) {
+            for (const bool ta : {false, true}) {
+              for (const bool tb : {false, true}) {
+                GemmDesc d;
+                d.trans_a = ta;
+                d.trans_b = tb;
+                d.m = 37;
+                d.n = n;
+                d.k = 51;
+                d.alpha = alpha;
+                d.beta = beta;
+                d.lda = (ta ? d.m : d.k) + 1;
+                d.ldb = (tb ? d.k : d.n) + 3;
+                d.ldc = d.n + 2;
+                d.batch_count = batch;
+                d.stride_a = shared_a ? 0 : (ta ? d.k : d.m) * d.lda + 1;
+                d.stride_b = (tb ? d.n : d.k) * d.ldb + 2;
+                d.stride_c = d.m * d.ldc + 5;
+                std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
+                fill_normal(a, rng);
+                fill_normal(b, rng);
+                fill_normal(c0, rng);
+                std::vector<float> expected = c0;
+                detail::reference_gemm(d, a.data(), b.data(), expected.data());
+                const auto where = [&] {
+                  std::ostringstream os;
+                  os << kernel.mr << "x" << kernel.nr << " beta=" << beta << " alpha=" << alpha
+                     << " batch=" << batch << " n=" << n << " shared_a=" << shared_a
+                     << " ta=" << ta << " tb=" << tb;
+                  return os.str();
+                };
+                std::vector<float> c = c0;
+                detail::packed_gemm_with_kernel(kernel, d, a.data(), b.data(), c.data());
+                EXPECT_TRUE(same_bits(c, expected)) << where() << " uncached";
+
+                // A fresh cache per case: a later case's A may reuse this
+                // one's address with other contents.
+                WeightPanelCache cache;
+                const WeightPanelCache::Scope scope(cache, /*weights_version=*/0);
+                d.constant_a = true;
+                for (const char* pass : {"miss", "hit"}) {
+                  c = c0;
+                  detail::packed_gemm_with_kernel(kernel, d, a.data(), b.data(), c.data());
+                  EXPECT_TRUE(same_bits(c, expected)) << where() << " cache " << pass;
+                  EXPECT_EQ(cache.size(), shared_a ? 1u : 0u) << where() << " cache " << pass;
+                }
+              }
             }
           }
         }
       }
     }
   }
+}
+
+// An unmarked GEMM never reads the installed cache: issued twice through the
+// same A pointer with new contents in between, it returns fresh results, and
+// the cache stays empty.
+TEST(GemmPackedKernels, UnmarkedOperandIsNeverCached) {
+  const auto kernels = detail::packed_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
+  GemmDesc d;
+  d.m = 40;
+  d.n = 1;
+  d.k = 64;
+  d.lda = d.k;
+  d.ldb = d.ldc = 1;
+  d.batch_count = 4;
+  d.stride_b = d.k;
+  d.stride_c = d.m;
+  flashgen::Rng rng(31);
+  std::vector<float> a(a_size(d)), b(b_size(d));
+  fill_normal(b, rng);
+  WeightPanelCache cache;
+  const WeightPanelCache::Scope scope(cache, /*weights_version=*/0);
+  for (const detail::MicroKernel& kernel : kernels) {
+    for (int round = 0; round < 2; ++round) {
+      fill_normal(a, rng);
+      std::vector<float> expected(c_size(d)), c(c_size(d));
+      detail::reference_gemm(d, a.data(), b.data(), expected.data());
+      detail::packed_gemm_with_kernel(kernel, d, a.data(), b.data(), c.data());
+      EXPECT_TRUE(same_bits(c, expected)) << kernel.mr << "x" << kernel.nr << " round " << round;
+    }
+  }
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -85,6 +89,31 @@ TEST(ModelSampler, RejectsRaggedAndNonSquareRows) {
   auto non_square = make_rows(1, 8, /*first_stream=*/0);
   non_square[0].program_levels.resize(63);
   EXPECT_THROW(sampler.sample(non_square, /*seed=*/1, {0.0, 0.0}), flashgen::Error);
+}
+
+// The sampler keeps its conv weights' packed panels across calls (at side 16
+// with 16 base channels the convolutions run the packed GEMM); a load()
+// rewrites the weights in place, and the next sample must come from them.
+TEST(ModelSampler, LoadedWeightsAreSampledFresh) {
+  models::NetworkConfig config = conditioned_network_config();
+  config.array_size = 16;
+  config.base_channels = 16;
+  config.z_dim = 8;
+  models::CvaeGanModel other(config, /*seed=*/4);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("flashgen_model_sampler_" + std::to_string(::getpid()) + ".ckpt");
+  other.save(path.string());
+  models::CvaeGanModel model(config, /*seed=*/3);
+  ModelSampler sampler(model);
+  const auto rows = make_rows(4, 16, /*first_stream=*/7);
+  const data::Condition condition{6000.0, 48.0};
+  const auto before = sampler.sample(rows, /*seed=*/17, condition);
+  model.load(path.string());
+  const auto reloaded = sampler.sample(rows, /*seed=*/17, condition);
+  ModelSampler fresh(other);
+  EXPECT_EQ(reloaded, fresh.sample(rows, /*seed=*/17, condition));
+  EXPECT_NE(reloaded, before);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
